@@ -62,98 +62,102 @@ def _emit_check(result, fmt: str):
         )
 
 
+def _per_n(min_n, check):
+    return min_n, lambda max_n: (check(n) for n in range(min_n, max_n + 1))
+
+
+def _at_max_n(min_n, check):
+    return min_n, lambda max_n: (check(max_n),)
+
+
+# check name -> (least --max-n it accepts, results(max_n)); `--identity all`
+# walks it in this order.  The lambdas look each check up at call time, so a
+# wrapped module attribute is what runs.
+_CHECKS = {
+    **{
+        tag: _per_n(
+            identities.identity_min_n(tag), lambda n, t=tag: identities.check_identity(t, n)
+        )
+        for tag in identities.IDENTITY_TAGS
+    },
+    "integral_representation": _per_n(1, lambda n: identities.integral_representation_check(n)),
+    "omega_closed_form": _at_max_n(1, lambda n: series.omega_closed_form_check(n)),
+    "omega_composition_first": _at_max_n(1, lambda n: series.omega_composition_check("first", n)),
+    "omega_composition_second": _at_max_n(1, lambda n: series.omega_composition_check("second", n)),
+    "legendre_gf": _at_max_n(0, lambda n: series.legendre_gf_check(n)),
+    "lagrange_coefficient": (0, lambda max_n: (
+        series.lagrange_coefficient_check(n, k) for n in range(max_n + 1) for k in range(n + 1)
+    )),
+}
+
+
 def _cmd_verify(args) -> int:
     max_n = args.max_n
     if max_n < 0:
         print("verify: --max-n must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
     if args.identity == "all":
-        tags = identities.IDENTITY_TAGS
+        names = [name for name, (min_n, _) in _CHECKS.items() if max_n >= min_n]
+    elif args.identity not in _CHECKS:
+        print(
+            f"verify: unknown identity {args.identity!r}; choose one of "
+            + ", ".join(_CHECKS)
+            + " or 'all'",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    elif max_n < _CHECKS[args.identity][0]:
+        print(
+            f"verify: identity {args.identity} requires n >= {_CHECKS[args.identity][0]}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     else:
-        if args.identity not in identities.IDENTITY_TAGS:
-            print(
-                f"verify: unknown identity {args.identity!r}; choose one of "
-                + ", ".join(identities.IDENTITY_TAGS)
-                + " or 'all'",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        tags = (args.identity,)
-        if max_n < identities.identity_min_n(args.identity):
-            print(
-                f"verify: identity {args.identity} requires n >= "
-                f"{identities.identity_min_n(args.identity)}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-
-    results = []
-    for tag in tags:
-        for n in range(identities.identity_min_n(tag), max_n + 1):
-            results.append(identities.check_identity(tag, n))
-    if args.identity == "all":
-        for n in range(1, max_n + 1):
-            results.append(identities.integral_representation_check(n))
-        if max_n >= 1:
-            results.append(series.omega_closed_form_check(max_n))
-            results.append(series.omega_composition_check("first", max_n))
-            results.append(series.omega_composition_check("second", max_n))
-        results.append(series.legendre_gf_check(max_n))
-        for n in range(max_n + 1):
-            for k in range(n + 1):
-                results.append(series.lagrange_coefficient_check(n, k))
+        names = [args.identity]
 
     all_equal = True
-    for result in results:
-        _emit_check(result, args.format)
-        all_equal = all_equal and result.equal
+    for name in names:
+        for result in _CHECKS[name][1](max_n):
+            _emit_check(result, args.format)
+            all_equal = all_equal and result.equal
     return EXIT_OK if all_equal else EXIT_MISMATCH
 
 
-_POLY_SEQUENCES = ("narayana_poly", "legendre", "narayana_number")
-_SCALAR_SEQUENCES = ("catalan", "schroeder", "pell", "fibonacci", "lucas")
+def _rows(value, start=0):
+    return lambda max_n: ((n, value(n)) for n in range(start, max_n + 1))
 
 
-def _table_rows(sequence: str, max_n: int):
-    if sequence == "catalan":
-        for n in range(max_n + 1):
-            yield n, _frac_str(sequences.catalan(n))
-    elif sequence == "schroeder":
-        for n in range(max_n + 1):
-            yield n, _frac_str(sequences.narayana_poly(n)(2))
-    elif sequence in ("pell", "fibonacci", "lucas"):
-        for n in range(-1, max_n + 1):
-            yield n, str(sequences.recurrence_seq(sequence, n))
-    elif sequence == "narayana_poly":
-        for n in range(max_n + 1):
-            p = sequences.narayana_poly(n)
-            yield n, [_frac_str(p.coefficient(i)) for i in range(n + 1)]
-    elif sequence == "narayana_number":
-        for n in range(max_n + 1):
-            yield n, [
-                _frac_str(sequences.narayana_number(n, k)) for k in range(n + 1)
-            ]
-    elif sequence == "legendre":
-        for n in range(max_n + 1):
-            p = sequences.legendre_poly(n, "standard")
-            yield n, [_frac_str(p.coefficient(i)) for i in range(n + 1)]
-    else:
-        raise ValueError(sequence)
+def _coefficients(p: QPolynomial, n: int) -> list:
+    return [_frac_str(p.coefficient(i)) for i in range(n + 1)]
+
+
+# sequence name -> rows(max_n) of (n, value or coefficient list)
+_SEQUENCES = {
+    "narayana_poly": _rows(lambda n: _coefficients(sequences.narayana_poly(n), n)),
+    "legendre": _rows(lambda n: _coefficients(sequences.legendre_poly(n, "standard"), n)),
+    "narayana_number": _rows(
+        lambda n: [_frac_str(sequences.narayana_number(n, k)) for k in range(n + 1)]
+    ),
+    "catalan": _rows(lambda n: _frac_str(sequences.catalan(n))),
+    "schroeder": _rows(lambda n: _frac_str(sequences.narayana_poly(n)(2))),
+    "pell": _rows(lambda n: str(sequences.recurrence_seq("pell", n)), start=-1),
+    "fibonacci": _rows(lambda n: str(sequences.recurrence_seq("fibonacci", n)), start=-1),
+    "lucas": _rows(lambda n: str(sequences.recurrence_seq("lucas", n)), start=-1),
+}
 
 
 def _cmd_table(args) -> int:
     if args.max_n < 0:
         print("table: --max-n must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    known = _POLY_SEQUENCES + _SCALAR_SEQUENCES
-    if args.sequence not in known:
+    if args.sequence not in _SEQUENCES:
         print(
             f"table: unknown sequence {args.sequence!r}; choose one of "
-            + ", ".join(known),
+            + ", ".join(_SEQUENCES),
             file=sys.stderr,
         )
         return EXIT_USAGE
-    for n, value in _table_rows(args.sequence, args.max_n):
+    for n, value in _SEQUENCES[args.sequence](args.max_n):
         if args.format == "json":
             key = "coefficients" if isinstance(value, list) else "value"
             print(json.dumps({"n": n, key: value}))
@@ -193,28 +197,26 @@ def _cmd_involution(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     n = args.n
+    if n < 0:
+        print(f"enumerate: --n must be nonnegative, got {n}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.k is not None and not 0 <= args.k <= n:
+        print(f"enumerate: --k must be in 0..{n}, got {args.k}", file=sys.stderr)
+        return EXIT_USAGE
+    ks = [args.k] if args.k is not None else range(n + 1)
     try:
         if args.family == "dyck":
             for p in combinat.enumerate_dyck(n):
                 print(p if p else "(empty)")
         elif args.family == "D":
-            ks = [args.k] if args.k is not None else range(n + 1)
             for k in ks:
                 for e in combinat.enumerate_family_D(n, k):
                     print(combinat.serialize_path(combinat.flatten(e)))
-        elif args.family in ("P", "Q"):
-            enum = (
-                combinat.enumerate_family_P
-                if args.family == "P"
-                else combinat.enumerate_family_Q
-            )
-            ks = [args.k] if args.k is not None else range(n + 1)
+        else:
+            enum = {"P": combinat.enumerate_family_P, "Q": combinat.enumerate_family_Q}[args.family]
             for k in ks:
                 for t in enum(n, k):
                     print(combinat.serialize_tree(t))
-        else:
-            print(f"enumerate: unknown family {args.family!r}", file=sys.stderr)
-            return EXIT_USAGE
     except combinat.EnumerationCapError as exc:
         print(f"enumerate: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,19 +19,19 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
+from math import prod
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .exact_core import QPolynomial, binomial
-from .sequences import catalan, narayana_poly
+from .sequences import narayana_poly
 
 DYCK_CAP = 12
 FAMILY_D_CAP = 8
 FAMILY_P_CAP = 9
 FAMILY_Q_CAP = 8
 
-_Q = QPolynomial((0, 1), "q")
 _ONE_MINUS_Q = QPolynomial((1, -1), "q")
 
 
@@ -45,9 +45,12 @@ class FixedElementError(ValueError):
 
 def _cap(default: int) -> int:
     env = os.environ.get("NARAYANA_CAP")
-    if env:
+    if not env:
+        return default
+    try:
         return max(default, int(env))
-    return default
+    except ValueError:
+        raise ValueError(f"NARAYANA_CAP must be an integer, got {env!r}") from None
 
 
 def _check_cap(n: int, default: int, what: str):
@@ -307,13 +310,6 @@ def _build_weighted(shape: tuple, marks: dict, leaf_tag: str):
     return walk(shape)
 
 
-_P_MARKS = ("m1", "mq")
-_Q_MARKS = ("m1", "2q", "mq2")
-_FAMILY = {
-    "P": {"leaf": "q", "neg": "mq", "marks": _P_MARKS, "transparent": None},
-    "Q": {"leaf": "q2", "neg": "mq2", "marks": _Q_MARKS, "transparent": "2q"},
-}
-
 _TAG_WEIGHTS = {
     "1": (1, 0),
     "q": (1, 1),
@@ -322,6 +318,18 @@ _TAG_WEIGHTS = {
     "mq": (-1, 1),
     "mq2": (-1, 2),
     "2q": (2, 1),
+}
+
+# What the P and Q families differ by; each tree-family function has one body
+# that reads its row.
+_FAMILY = {
+    family: {"leaf": leaf, "neg": neg, "marks": marks, "transparent": transparent, "cap": cap,
+             "leaf_weight": _TAG_WEIGHTS[leaf],
+             "mark_weights": tuple(_TAG_WEIGHTS[t] for t in marks)}
+    for family, leaf, neg, marks, transparent, cap in (
+        ("P", "q", "mq", ("m1", "mq"), None, FAMILY_P_CAP),
+        ("Q", "q2", "mq2", ("m1", "2q", "mq2"), "2q", FAMILY_Q_CAP),
+    )
 }
 
 
@@ -357,63 +365,50 @@ def _iter_family_trees(n: int, k: int, family: str) -> Iterator:
                 yield _build_weighted(shape, dict(zip(positions, tags)), info["leaf"])
 
 
-def enumerate_family_P(n: int, k: int) -> list:
-    _check_cap(n, FAMILY_P_CAP, "enumerate_family_P")
+def _enumerate_family(n: int, k: int, family: str) -> list:
+    _check_cap(n, _FAMILY[family]["cap"], f"enumerate_family_{family}")
     if not 0 <= k <= n:
         return []
-    return list(_iter_family_trees(n, k, "P"))
+    return list(_iter_family_trees(n, k, family))
 
 
-def enumerate_family_Q(n: int, k: int) -> list:
-    _check_cap(n, FAMILY_Q_CAP, "enumerate_family_Q")
+enumerate_family_P = partial(_enumerate_family, family="P")
+enumerate_family_Q = partial(_enumerate_family, family="Q")
+
+
+def _family_weight(n: int, k: int, family: str) -> QPolynomial:
+    """Weight sum over a marked-tree family, by full enumeration."""
+    info = _FAMILY[family]
+    _check_cap(n, info["cap"], f"family_{family}_weight")
     if not 0 <= k <= n:
-        return []
-    return list(_iter_family_trees(n, k, "Q"))
-
-
-def family_P_weight(n: int, k: int) -> QPolynomial:
-    """Weight sum over the marked-tree family, by full enumeration."""
-    _check_cap(n, FAMILY_P_CAP, "family_P_weight")
+        return QPolynomial.zero("q")
     m = n - k
-    sign = -1 if m & 1 else 1
-    counts = [0] * (n + 3)
+    # every choice of m unary positions takes the same m-fold mark products,
+    # so tally those once: exponent -> summed coefficient
+    marks = Counter()
+    for tags in product(info["mark_weights"], repeat=m):
+        marks[sum(e for _, e in tags)] += prod(c for c, _ in tags)
+    leaf_coeff, leaf_exponent = info["leaf_weight"]
+    counts = [0] * (leaf_exponent * (n + 2) + max(marks) + 1)
     for shape in _tree_shapes(n + 2):
         unary = _shape_unary_positions(shape)
         if len(unary) < m:
             continue
         leaves = _shape_leaf_count(shape)
+        scale, base = leaf_coeff**leaves, leaf_exponent * leaves
         for _ in combinations(unary, m):
-            # every {-1, -q} assignment contributes sign * q^{leaves + #(-q)}
-            for bits in range(1 << m):
-                counts[leaves + bits.bit_count()] += sign
+            for exponent, coeff in marks.items():
+                counts[base + exponent] += scale * coeff
     return QPolynomial(counts, "q")
+
+
+family_P_weight = partial(_family_weight, family="P")
+family_Q_weight = partial(_family_weight, family="Q")
 
 
 def family_P_closed_form(n: int, k: int) -> QPolynomial:
     minus_one_minus_q = QPolynomial((-1, -1), "q")
     return binomial(n, k) * narayana_poly(k + 1) * minus_one_minus_q ** (n - k)
-
-
-def family_Q_weight(n: int, k: int) -> QPolynomial:
-    _check_cap(n, FAMILY_Q_CAP, "family_Q_weight")
-    m = n - k
-    counts = [0] * (2 * n + 5)
-    for shape in _tree_shapes(n + 2):
-        unary = _shape_unary_positions(shape)
-        if len(unary) < m:
-            continue
-        leaves = _shape_leaf_count(shape)
-        for _ in combinations(unary, m):
-            for tags in product(_TAG_WEIGHTS_Q_MARKS, repeat=m):
-                coeff, exponent = 1, 2 * leaves
-                for c, e in tags:
-                    coeff *= c
-                    exponent += e
-                counts[exponent] += coeff
-    return QPolynomial(counts, "q")
-
-
-_TAG_WEIGHTS_Q_MARKS = tuple(_TAG_WEIGHTS[t] for t in _Q_MARKS)
 
 
 def family_Q_closed_form(n: int, k: int) -> QPolynomial:
@@ -440,45 +435,38 @@ def _complete_binary_shapes(vertices: int) -> Tuple[tuple, ...]:
     return tuple(out)
 
 
-def fixed_set_P(n: int) -> list:
-    """Fixed trees of psi on the P family: a root above a complete binary tree."""
-    _check_cap(n, FAMILY_P_CAP, "fixed_set_P")
-    out = []
-    for shape in _complete_binary_shapes(n + 1):
-        out.append(_build_weighted((shape,), {}, "q"))
-    return out
-
-
-def fixed_set_Q(n: int) -> list:
-    """Fixed trees of the Q-family involution: a root above a complete binary
-    tree with 2q-weighted unary vertices inserted into its edges."""
-    _check_cap(n, FAMILY_Q_CAP, "fixed_set_Q")
+def _fixed_set(n: int, family: str) -> list:
+    """Fixed trees of psi: a root above a complete binary tree, with the
+    family's transparent unary vertices (2q in Q, none in P) inserted into
+    its edges."""
+    info = _FAMILY[family]
+    _check_cap(n, info["cap"], f"fixed_set_{family}")
+    transparent = info["transparent"]
     out = []
     for k in range(n // 2 + 1):
         extra = n - 2 * k
+        if extra and transparent is None:
+            continue
         for shape in _complete_binary_shapes(2 * k + 1):
-            wrapped = _weight_q_tree(shape)
             # 2k+1 edges: the root edge plus the 2k edges of the subtree
             for comp in _compositions(extra, 2 * k + 1):
-                slot = [0]
-                root_chain = comp[0]
-
-                def insert(node):
-                    tag, children = node
-                    new_children = []
-                    for child in children:
-                        slot[0] += 1
-                        new_children.append(_chain("2q", comp[slot[0]], insert(child)))
-                    return (tag, tuple(new_children))
-
-                body = insert(wrapped)
-                out.append(("1", (_chain("2q", root_chain, body),)))
+                out.append(_chained_tree((shape,), info["leaf"], transparent, iter(comp)))
     return out
 
 
-def _weight_q_tree(shape: tuple):
-    children = tuple(_weight_q_tree(c) for c in shape)
-    return ("q2", children) if not children else ("1", children)
+def _chained_tree(shape: tuple, leaf: str, transparent, lengths):
+    """Weight `shape`, with a chain of next(lengths) transparent unary
+    vertices above each child, taken in pre-order."""
+    if not shape:
+        return (leaf, ())
+    return ("1", tuple(
+        _chain(transparent, next(lengths), _chained_tree(child, leaf, transparent, lengths))
+        for child in shape
+    ))
+
+
+fixed_set_P = partial(_fixed_set, family="P")
+fixed_set_Q = partial(_fixed_set, family="Q")
 
 
 def _chain(tag: str, length: int, node):
@@ -489,21 +477,7 @@ def _chain(tag: str, length: int, node):
 
 def is_fixed_tree(t, family: str) -> bool:
     tag, children = t
-    if len(children) != 1:
-        return False
-    transparent = _FAMILY[family]["transparent"]
-
-    def ok(node) -> bool:
-        ntag, nch = node
-        if len(nch) == 0:
-            return True
-        if len(nch) == 2:
-            return ok(nch[0]) and ok(nch[1])
-        if len(nch) == 1 and ntag == transparent:
-            return ok(nch[0])
-        return False
-
-    return ok(children[0])
+    return len(children) == 1 and _is_complete(children[0], _FAMILY[family]["transparent"])
 
 
 # -- the involution on weighted plane trees ----------------------------------------
@@ -544,32 +518,25 @@ def _toggle_first_unit_unary(t):
     return walk(t, True)
 
 
-def _is_complete(t, family: str) -> bool:
+def _is_complete(t, transparent) -> bool:
+    """Complete binary once unary vertices tagged `transparent` are skipped."""
     tag, children = t
     if not children:
         return True
     if len(children) == 2:
-        return _is_complete(children[0], family) and _is_complete(children[1], family)
-    if len(children) == 1 and tag == _FAMILY[family]["transparent"]:
-        return _is_complete(children[0], family)
+        return _is_complete(children[0], transparent) and _is_complete(children[1], transparent)
+    if len(children) == 1 and tag == transparent:
+        return _is_complete(children[0], transparent)
     return False
 
 
-def _chase(t, family: str):
-    """Skip a chain of transparent unary vertices; returns (chain_tags, core)."""
-    transparent = _FAMILY[family]["transparent"]
+def _chase(t, transparent):
+    """Skip a chain of transparent unary vertices; returns (chain length, core)."""
     chain = 0
     while len(t[1]) == 1 and t[0] == transparent:
         chain += 1
         t = t[1][0]
     return chain, t
-
-
-def _rewrap(chain: int, family: str, node):
-    transparent = _FAMILY[family]["transparent"]
-    for _ in range(chain):
-        node = (transparent, (node,))
-    return node
 
 
 def _rightmost_attach(t, subtree, family: str):
@@ -606,23 +573,23 @@ def _replace_at(t, path, new_node):
 
 
 def _psi_rec(t, family: str):
-    neg = _FAMILY[family]["neg"]
-    leaf = _FAMILY[family]["leaf"]
+    info = _FAMILY[family]
+    neg, leaf, transparent = info["neg"], info["leaf"], info["transparent"]
     tag, children = t
 
     if len(children) >= 2:
         first = children[0]
-        if _is_complete(first, family):
+        if _is_complete(first, transparent):
             modified = _rightmost_attach(first, children[1], family)
             return (tag, (modified,) + children[2:])
         result = _psi_rec((tag, (first,)), family)
         return (result[0], result[1] + children[1:])
 
     # unary root
-    chain, core = _chase(children[0], family)
+    chain, core = _chase(children[0], transparent)
     if len(core[1]) > 2:
         inner = _psi_rec(core, family)
-        return (tag, (_rewrap(chain, family, inner),))
+        return (tag, (_chain(transparent, chain, inner),))
 
     # core has out-degree 1 or 2
     for path in _rightmost_path_nodes(core):
@@ -630,18 +597,18 @@ def _psi_rec(t, family: str):
         if node[0] == neg:
             detached = node[1][0]
             remainder = _replace_at(core, path, (leaf, ()))
-            if _is_complete(remainder, family):
-                return (tag, (_rewrap(chain, family, remainder), detached))
+            if _is_complete(remainder, transparent):
+                return (tag, (_chain(transparent, chain, remainder), detached))
             break
 
     left, right = core[1]
-    if not _is_complete(left, family):
+    if not _is_complete(left, transparent):
         result = _psi_rec((core[0], (left,)), family)
         new_core = (result[0], result[1] + (right,))
     else:
         result = _psi_rec((core[0], (right,)), family)
         new_core = (result[0], (left,) + result[1])
-    return (tag, (_rewrap(chain, family, new_core),))
+    return (tag, (_chain(transparent, chain, new_core),))
 
 
 # -- involution certificates --------------------------------------------------------
@@ -730,8 +697,7 @@ def involution_verify(family: str, n: int, collect_pairs: bool = False) -> Invol
             expected_fixed=expected_fixed, collect_pairs=collect_pairs,
         )
     if family in ("P", "Q"):
-        cap = FAMILY_P_CAP if family == "P" else FAMILY_Q_CAP
-        _check_cap(n, cap, f"involution_verify({family})")
+        _check_cap(n, _FAMILY[family]["cap"], f"involution_verify({family})")
         elements = [
             t for k in range(n + 1) for t in _iter_family_trees(n, k, family)
         ]

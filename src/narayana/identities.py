@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .exact_core import QPolynomial, binomial, finite_difference_check
 from .sequences import (
@@ -23,8 +23,6 @@ from .sequences import (
     narayana_poly,
     pell,
 )
-
-Side = Union[QPolynomial, Fraction]
 
 _Q = QPolynomial((0, 1), "q")
 _X = QPolynomial((0, 1), "x")

@@ -8,8 +8,6 @@ from functools import lru_cache
 
 from .exact_core import QPolynomial, binomial
 
-SEQUENCE_TAGS = ("catalan", "schroeder", "narayana_number", "pell", "fibonacci", "lucas")
-
 # Recurrence initial values, indexed from -1.  Note the Fibonacci convention
 # here starts F_{-1} = 0, F_0 = 1, giving F_1 = 1, F_2 = 2 -- shifted by one
 # from the common indexing.  The identities in `identities` need exactly this.

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact_core import PolySeries, QPolynomial, binomial
-from .identities import CheckResult
+from .identities import CheckResult, _result
 from .sequences import legendre_poly, narayana_poly
 
 _Q = QPolynomial((0, 1), "q")
@@ -56,7 +56,7 @@ def omega_closed_form_check(order: int) -> CheckResult:
         [QPolynomial.one("q"), QPolynomial((1, -1), "q")], order + 1
     ) - radicand.sqrt()
     closed = numerator.shift_down(1) * Fraction(1, 2)
-    return _series_result("omega_closed_form", order, closed, omega_series(order))
+    return _result("omega_closed_form", order, closed, omega_series(order))
 
 
 def omega_composition_check(variant: str, order: int) -> CheckResult:
@@ -81,7 +81,7 @@ def omega_composition_check(variant: str, order: int) -> CheckResult:
         composed = c.compose(inner) * inv_e * x * _Q + 1
     else:
         raise ValueError(f"unknown composition variant {variant!r}")
-    return _series_result(
+    return _result(
         f"omega_composition_{variant}", order, composed, omega_series(order)
     )
 
@@ -113,7 +113,7 @@ def lagrange_coefficient_check(n: int, k: int) -> CheckResult:
     power = _catalan_power(2 * k + 1, n - k)
     lhs = power.coefficient(n - k).constant_value()
     rhs = Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
-    return CheckResult("lagrange_coefficient", n, lhs, rhs, lhs == rhs)
+    return _result("lagrange_coefficient", n, lhs, rhs)
 
 
 def legendre_gf_check(order: int) -> CheckResult:
@@ -132,8 +132,4 @@ def legendre_gf_check(order: int) -> CheckResult:
     expected = PolySeries(
         [legendre_poly(n, "standard") for n in range(order + 1)], order
     )
-    return _series_result("legendre_gf", order, series, expected)
-
-
-def _series_result(name: str, order: int, lhs: PolySeries, rhs: PolySeries):
-    return CheckResult(name, order, lhs, rhs, lhs == rhs)
+    return _result("legendre_gf", order, series, expected)

@@ -1,8 +1,25 @@
+import hashlib
+import itertools
 import json
 
 import pytest
 
-from narayana.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from narayana.cli import _CHECKS, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from narayana.identities import IDENTITY_TAGS
+
+# non-identity check -> records it emits at --max-n 3
+NON_IDENTITY_CHECKS = {
+    "integral_representation": 3,
+    "omega_closed_form": 1,
+    "omega_composition_first": 1,
+    "omega_composition_second": 1,
+    "legendre_gf": 1,
+    "lagrange_coefficient": 10,
+}
+
+# sha256 of `verify --identity all --max-n 6 --format json` before the checks
+# moved into one table
+ALL_MAX_N_6_JSON_SHA256 = "44e89d1953ca58f1df99a13c8a8383559567ce7602a3ac8b6fc4629aecb42390"
 
 
 def run(capsys, *argv):
@@ -63,6 +80,41 @@ class TestVerify:
             capsys, "verify", "--identity", "alt_sum_310", "--max-n", "0"
         )
         assert code == EXIT_USAGE
+
+    def test_non_identity_below_min_n_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--identity", "integral_representation", "--max-n", "0"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "requires n >= 1" in err
+
+    def test_all_walks_the_check_table_in_order(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--identity", "all", "--max-n", "3", "--format", "json"
+        )
+        assert code == EXIT_OK
+        names = [json.loads(line)["identity"] for line in out.splitlines()]
+        blocks = [name for name, _ in itertools.groupby(names)]
+        assert blocks == list(_CHECKS)
+        assert list(_CHECKS) == list(IDENTITY_TAGS) + list(NON_IDENTITY_CHECKS)
+
+    @pytest.mark.parametrize("name", NON_IDENTITY_CHECKS)
+    def test_non_identity_check_alone(self, capsys, name):
+        code, out, _ = run(
+            capsys, "verify", "--identity", name, "--max-n", "3", "--format", "json"
+        )
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == NON_IDENTITY_CHECKS[name]
+        assert all(r["identity"] == name and r["equal"] for r in records)
+
+    def test_all_output_is_pinned(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--identity", "all", "--max-n", "6", "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == ALL_MAX_N_6_JSON_SHA256
 
     def test_all_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--identity", "all", "--max-n", "3")
@@ -151,6 +203,20 @@ class TestEnumerate:
         )
         assert code == EXIT_OK
         assert sorted(out.split()) == ["1(m1(q))", "1(mq(q))"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "D", "--n", "-2"],
+            ["--family", "P", "--n", "3", "--k", "7"],
+            ["--family", "Q", "--n", "2", "--k", "-1"],
+        ],
+    )
+    def test_out_of_range_size_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("enumerate: ")
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE

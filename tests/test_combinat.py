@@ -30,6 +30,11 @@ class TestDyckEnumeration:
             else:
                 os.environ["NARAYANA_CAP"] = before
 
+    def test_non_integer_cap_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("NARAYANA_CAP", "abc")
+        with pytest.raises(ValueError, match="NARAYANA_CAP must be an integer, got 'abc'"):
+            cb.enumerate_dyck(2)
+
 
 class TestFamilyD:
     def test_semilength_one_elements(self):

@@ -200,6 +200,9 @@ def _cmd_enumerate(args) -> int:
     if n < 0:
         print(f"enumerate: --n must be nonnegative, got {n}", file=sys.stderr)
         return EXIT_USAGE
+    if args.k is not None and args.family == "dyck":
+        print("enumerate: --k does not apply to --family dyck", file=sys.stderr)
+        return EXIT_USAGE
     if args.k is not None and not 0 <= args.k <= n:
         print(f"enumerate: --k must be in 0..{n}, got {args.k}", file=sys.stderr)
         return EXIT_USAGE
@@ -266,9 +269,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # a mathematical check failed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_core import QPolynomial, binomial, finite_difference_check
+from .exact_core import (
+    IndeterminateMismatchError, QPolynomial, binomial, finite_difference_check
+)
 from .sequences import (
     catalan,
     catalan_half,
@@ -419,13 +421,40 @@ def lemma_difference_argument(n: int) -> bool:
 # -- inverse relations ---------------------------------------------------------
 
 
-def _as_poly_seq(seq) -> list:
+def _triangular(name: str, seq: Sequence, rows) -> list:
+    """Apply a lower-triangular integer matrix to `seq` over one denominator.
+
+    `rows(m)` yields, for an input of length m, one (weights, divisor) pair per
+    output row n: the integers M(n, 0), M(n, 1), ... and d_n, so that output n
+    is sum_k M(n, k) seq[k] / d_n.  The input is scaled once to integer rows
+    over L, the lcm of all its denominators, so each output coefficient is an
+    integer sum divided once by L * d_n, in the one indeterminate of the
+    non-constant inputs (the first input's if none)."""
+    seq = [a if isinstance(a, QPolynomial) else QPolynomial.constant(a) for a in seq]
+    if not seq:
+        raise ValueError(f"{name}: empty sequence")
+    indeterminates = {a.var for a in seq if not a.is_constant}
+    if len(indeterminates) > 1:
+        raise IndeterminateMismatchError(f"{name}: sequence mixes {sorted(indeterminates)}")
+    var = indeterminates.pop() if indeterminates else seq[0].var
+    lcm = math.lcm(*(c.denominator for a in seq for c in a.coeffs))
+    ints = [[c.numerator * (lcm // c.denominator) for c in a.coeffs] for a in seq]
     out = []
-    for a in seq:
-        if not isinstance(a, QPolynomial):
-            a = QPolynomial.constant(a)
-        out.append(a)
+    for weights, divisor in rows(len(seq)):
+        total = [0] * max(len(ints[k]) for k in range(len(weights)))
+        for w, row in zip(weights, ints):
+            for i, c in enumerate(row):
+                total[i] += w * c
+        den = lcm * divisor
+        out.append(QPolynomial(total if den == 1 else [Fraction(t, den) for t in total], var))
     return out
+
+
+def _sign(name: str, direction: str) -> int:
+    """The base of a relation's alternating sign: +1 forward, -1 backward."""
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"{name}: unknown direction {direction!r}")
+    return 1 if direction == "forward" else -1
 
 
 def legendre_inverse(direction: str, seq: Sequence) -> list:
@@ -434,55 +463,34 @@ def legendre_inverse(direction: str, seq: Sequence) -> list:
     forward:  A_n = sum_k binom(n+k, n-k) B_k
     backward: B_n = sum_k (-1)^{n-k} (2k+1)/(2n+1) binom(2n+1, n-k) A_k
     """
-    seq = _as_poly_seq(seq)
-    if not seq:
-        raise ValueError("legendre_inverse: empty sequence")
-    out = []
-    for n in range(len(seq)):
-        acc = QPolynomial.zero(seq[n].var)
-        for k in range(n + 1):
-            if direction == "forward":
-                acc = acc + binomial(n + k, n - k) * seq[k]
-            elif direction == "backward":
-                c = Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
-                acc = acc + (-1) ** (n - k) * c * seq[k]
-            else:
-                raise ValueError(f"unknown direction {direction!r}")
-        out.append(acc)
-    return out
+    forward = _sign("legendre_inverse", direction) == 1
+    return _triangular("legendre_inverse", seq, lambda m: (
+        ([binomial(n + k, n - k) for k in range(n + 1)], 1) if forward else (
+            [(-1) ** (n - k) * (2 * k + 1) * binomial(2 * n + 1, n - k) for k in range(n + 1)],
+            2 * n + 1,
+        )
+        for n in range(m)
+    ))
 
 
 def binomial_inverse(direction: str, seq: Sequence) -> list:
     """The binomial transform and its inverse (mutually inverse maps)."""
-    seq = _as_poly_seq(seq)
-    if not seq:
-        raise ValueError("binomial_inverse: empty sequence")
-    out = []
-    for n in range(len(seq)):
-        acc = QPolynomial.zero(seq[n].var)
-        for k in range(n + 1):
-            if direction == "forward":
-                acc = acc + binomial(n, k) * seq[k]
-            elif direction == "backward":
-                acc = acc + (-1) ** (n - k) * binomial(n, k) * seq[k]
-            else:
-                raise ValueError(f"unknown direction {direction!r}")
-        out.append(acc)
-    return out
+    sign = _sign("binomial_inverse", direction)
+    return _triangular("binomial_inverse", seq, lambda m: (
+        ([sign ** (n - k) * binomial(n, k) for k in range(n + 1)], 1) for n in range(m)
+    ))
 
 
 def left_inversion_forward(s: int, p: int, seq: Sequence, length: int) -> list:
     """Generate A_n = sum_{k <= n/s} binom(n+p, sk+p) B_k, n < length."""
     if s < 1 or p < 0:
         raise ValueError(f"left inversion needs s >= 1 and p >= 0, got s={s}, p={p}")
-    seq = _as_poly_seq(seq)
-    out = []
-    for n in range(length):
-        acc = QPolynomial.zero("q")
-        for k in range(min(n // s, len(seq) - 1) + 1):
-            acc = acc + binomial(n + p, s * k + p) * seq[k]
-        out.append(acc)
-    return out
+    if length < 0:
+        raise ValueError(f"left_inversion_forward: negative length {length}")
+    return _triangular("left_inversion_forward", seq, lambda m: (
+        ([binomial(n + p, s * k + p) for k in range(min(n // s, m - 1) + 1)], 1)
+        for n in range(length)
+    ))
 
 
 def left_inversion(s: int, p: int, seq: Sequence) -> list:
@@ -490,18 +498,10 @@ def left_inversion(s: int, p: int, seq: Sequence) -> list:
     B_n = sum_{k=0}^{sn} (-1)^{sn-k} binom(sn+p, k+p) A_k."""
     if s < 1 or p < 0:
         raise ValueError(f"left inversion needs s >= 1 and p >= 0, got s={s}, p={p}")
-    seq = _as_poly_seq(seq)
-    if not seq:
-        raise ValueError("left_inversion: empty sequence")
-    out = []
-    n = 0
-    while s * n <= len(seq) - 1:
-        acc = QPolynomial.zero("q")
-        for k in range(s * n + 1):
-            acc = acc + (-1) ** (s * n - k) * binomial(s * n + p, k + p) * seq[k]
-        out.append(acc)
-        n += 1
-    return out
+    return _triangular("left_inversion", seq, lambda m: (
+        ([(-1) ** (s * n - k) * binomial(s * n + p, k + p) for k in range(s * n + 1)], 1)
+        for n in range((m - 1) // s + 1)
+    ))
 
 
 def catalan_parity_scan(limit: int) -> list:

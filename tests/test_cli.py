@@ -218,8 +218,34 @@ class TestEnumerate:
         assert out == ""
         assert err.startswith("enumerate: ")
 
+    def test_k_with_dyck_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--family", "dyck", "--n", "2", "--k", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("enumerate: ") and err.count("\n") == 1
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
 
     def test_bad_flag_is_usage_error(self, capsys):
         assert main(["enumerate", "--family", "dyck"]) == EXIT_USAGE
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (ArithmeticError("congruence fails at k=3"), EXIT_MISMATCH),
+            (ZeroDivisionError("division by zero"), EXIT_MISMATCH),
+            (RecursionError("maximum recursion depth exceeded"), EXIT_USAGE),
+        ],
+    )
+    def test_error_exits_without_traceback(self, capsys, monkeypatch, exc, code):
+        def results(max_n):
+            raise exc
+
+        monkeypatch.setitem(_CHECKS, "main_37", (0, results))
+        got, out, err = run(capsys, "verify", "--identity", "main_37", "--max-n", "2")
+        assert got == code
+        assert out == ""
+        assert err == f"error: {exc}\n"

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narayana.exact_core import QPolynomial
+from narayana.exact_core import IndeterminateMismatchError, QPolynomial, binomial
 from narayana.identities import (
     IDENTITY_TAGS,
     binomial_inverse,
@@ -187,3 +188,148 @@ class TestInverseRelations:
                 length = s * (len(b) - 1) + 1 + p  # enough room to invert
                 a = left_inversion_forward(s, p, b, max(length, 12))
                 assert left_inversion(s, p, a)[: len(b)] == b, (s, p)
+
+    def test_left_inversion_forward_rejects_empty_sequence(self):
+        with pytest.raises(ValueError, match="left_inversion_forward"):
+            left_inversion_forward(1, 0, [], 3)
+
+    def test_left_inversion_forward_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="left_inversion_forward"):
+            left_inversion_forward(1, 0, [Fraction(1, 2)], -1)
+
+
+# -- per-term QPolynomial accumulation of each inverse relation: an independent
+# reference for the integer kernel in identities._triangular --------------------
+
+
+def _poly_seq(seq):
+    return [a if isinstance(a, QPolynomial) else QPolynomial.constant(a) for a in seq]
+
+
+def _reference_legendre(direction, seq):
+    seq = _poly_seq(seq)
+    out = []
+    for n in range(len(seq)):
+        acc = QPolynomial.zero(seq[n].var)
+        for k in range(n + 1):
+            if direction == "forward":
+                acc = acc + binomial(n + k, n - k) * seq[k]
+            else:
+                c = Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
+                acc = acc + (-1) ** (n - k) * c * seq[k]
+        out.append(acc)
+    return out
+
+
+def _reference_binomial(direction, seq):
+    seq = _poly_seq(seq)
+    sign = 1 if direction == "forward" else -1
+    out = []
+    for n in range(len(seq)):
+        acc = QPolynomial.zero(seq[n].var)
+        for k in range(n + 1):
+            acc = acc + sign ** (n - k) * binomial(n, k) * seq[k]
+        out.append(acc)
+    return out
+
+
+def _reference_left_forward(s, p, seq, length):
+    seq = _poly_seq(seq)
+    out = []
+    for n in range(length):
+        acc = QPolynomial.zero("q")
+        for k in range(min(n // s, len(seq) - 1) + 1):
+            acc = acc + binomial(n + p, s * k + p) * seq[k]
+        out.append(acc)
+    return out
+
+
+def _reference_left(s, p, seq):
+    seq = _poly_seq(seq)
+    out = []
+    n = 0
+    while s * n <= len(seq) - 1:
+        acc = QPolynomial.zero("q")
+        for k in range(s * n + 1):
+            acc = acc + (-1) ** (s * n - k) * binomial(s * n + p, k + p) * seq[k]
+        out.append(acc)
+        n += 1
+    return out
+
+
+def _relations(s, p, length):
+    """(kernel, reference) pairs covering every direction of every relation."""
+    return [
+        (partial(legendre_inverse, "forward"), partial(_reference_legendre, "forward")),
+        (partial(legendre_inverse, "backward"), partial(_reference_legendre, "backward")),
+        (partial(binomial_inverse, "forward"), partial(_reference_binomial, "forward")),
+        (partial(binomial_inverse, "backward"), partial(_reference_binomial, "backward")),
+        (
+            lambda seq: left_inversion_forward(s, p, seq, length),
+            lambda seq: _reference_left_forward(s, p, seq, length),
+        ),
+        (partial(left_inversion, s, p), partial(_reference_left, s, p)),
+    ]
+
+
+wide_scalars = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+)
+
+
+@st.composite
+def mixed_sequences(draw):
+    """(indeterminate, sequence): ints, Fractions and polynomials in one
+    indeterminate, with denominators up to 10^6 of either sign."""
+    var = draw(st.sampled_from(["q", "x"]))
+    poly = st.lists(wide_scalars, max_size=4).map(lambda cs: QPolynomial(cs, var))
+    return var, draw(st.lists(st.one_of(wide_scalars, poly), min_size=1, max_size=8))
+
+
+class TestInverseKernel:
+    @given(
+        mixed_sequences(),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([0, 1, 2]),
+        st.integers(0, 27),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_term_reference(self, var_seq, s, p, length):
+        var, seq = var_seq
+        for kernel, reference in _relations(s, p, length):
+            got = kernel(seq)
+            assert got == reference(seq)
+            for poly in got:
+                assert all(
+                    type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                    for c in poly.coeffs
+                ), poly
+                assert poly.is_constant or poly.var == var
+
+    def test_mixed_indeterminates_rejected(self):
+        seq = [QPolynomial((0, 1), "x"), Fraction(1, 3), QPolynomial((1, 1), "q")]
+        for kernel, _ in _relations(1, 0, 3):
+            with pytest.raises(IndeterminateMismatchError):
+                kernel(seq)
+
+    def test_no_per_term_polynomial_arithmetic(self, monkeypatch):
+        counts = {"add": 0, "mul": 0, "new": 0}
+
+        def counting(kind, method):
+            def counted(*args, **kwargs):
+                counts[kind] += 1
+                return method(*args, **kwargs)
+
+            return counted
+
+        for attr, kind in (("__add__", "add"), ("__radd__", "add"), ("__mul__", "mul"),
+                           ("__rmul__", "mul"), ("__init__", "new")):
+            monkeypatch.setattr(QPolynomial, attr, counting(kind, vars(QPolynomial)[attr]))
+        rng = random.Random(40)
+        seq = [Fraction(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(40)]
+        for kernel, _ in _relations(2, 1, 2 * 39 + 1):
+            counts.update(add=0, mul=0, new=0)
+            out = kernel(seq)
+            assert counts["add"] == counts["mul"] == 0
+            assert counts["new"] <= len(out) + len(seq)

@@ -191,6 +191,8 @@ def _cmd_involution(args) -> int:
     if not report.certified:
         if report.counterexample:
             print(f"counterexample: {report.counterexample}", file=sys.stderr)
+        failed = " ".join(f"{name}={count}" for name, count in report.failures.items() if count)
+        print(f"failures: {failed}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -207,22 +209,28 @@ def _cmd_enumerate(args) -> int:
         print(f"enumerate: --k must be in 0..{n}, got {args.k}", file=sys.stderr)
         return EXIT_USAGE
     ks = [args.k] if args.k is not None else range(n + 1)
+    family = args.family
+    # the cap is checked before anything is printed; the family then streams
     try:
-        if args.family == "dyck":
-            for p in combinat.enumerate_dyck(n):
-                print(p if p else "(empty)")
-        elif args.family == "D":
-            for k in ks:
-                for e in combinat.enumerate_family_D(n, k):
-                    print(combinat.serialize_path(combinat.flatten(e)))
+        if family == "dyck":
+            lines = (p if p else "(empty)" for p in combinat.enumerate_dyck(n))
+        elif family == "D":
+            combinat._check_cap(n, combinat.FAMILY_D_CAP, "enumerate_family_D")
+            lines = (
+                combinat.serialize_path(combinat.flatten(e))
+                for k in ks for e in combinat.iter_family_D(n, k)
+            )
         else:
-            enum = {"P": combinat.enumerate_family_P, "Q": combinat.enumerate_family_Q}[args.family]
-            for k in ks:
-                for t in enum(n, k):
-                    print(combinat.serialize_tree(t))
+            combinat._check_cap(n, combinat._FAMILY[family]["cap"], f"enumerate_family_{family}")
+            lines = (
+                combinat.serialize_tree(t)
+                for k in ks for t in combinat._iter_family_trees(n, k, family)
+            )
     except combinat.EnumerationCapError as exc:
         print(f"enumerate: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    for line in lines:
+        print(line)
     return EXIT_OK
 
 

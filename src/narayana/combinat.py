@@ -96,11 +96,15 @@ class WeightedDyckPath(NamedTuple):
     tags: Tuple[int, ...]  # one per up-step: 0 -> 1, +1 -> q, -1 -> -q
 
 
+def _path_key(p: WeightedDyckPath) -> Tuple[int, int]:
+    """The weight as (coefficient, exponent): the product over up-step tags."""
+    tags = p.tags
+    return (-1) ** tags.count(-1), len(tags) - tags.count(0)
+
+
 def path_weight(p: WeightedDyckPath) -> QPolynomial:
     """The signed monomial weight: product over up-step tags."""
-    exponent = sum(1 for t in p.tags if t)
-    sign = (-1) ** sum(1 for t in p.tags if t < 0)
-    return QPolynomial.monomial(sign, exponent, "q")
+    return QPolynomial.monomial(*_path_key(p), "q")
 
 
 def serialize_path(p: WeightedDyckPath) -> str:
@@ -273,41 +277,40 @@ def _tree_shapes(vertices: int) -> Tuple[tuple, ...]:
     return _children_seqs(vertices - 1)
 
 
-def _shape_unary_positions(shape: tuple) -> list:
-    """Pre-order indices of non-root unary vertices."""
-    positions = []
-    counter = [0]
-
-    def walk(node, is_root: bool):
-        idx = counter[0]
-        counter[0] += 1
-        if len(node) == 1 and not is_root:
-            positions.append(idx)
-        for child in node:
-            walk(child, False)
-
-    walk(shape, True)
-    return positions
-
-
-def _shape_leaf_count(shape: tuple) -> int:
-    if not shape:
-        return 1
-    return sum(_shape_leaf_count(c) for c in shape)
+@lru_cache(maxsize=None)
+def _shape_info(vertices: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...]:
+    """Each plane tree shape with the given vertex count, as its out-degrees
+    in pre-order, with the pre-order indices of its non-root unary vertices
+    and its leaf count."""
+    out = []
+    for shape in _tree_shapes(vertices):
+        degrees = []
+        stack = [shape]
+        while stack:
+            node = stack.pop()
+            degrees.append(len(node))
+            stack.extend(reversed(node))
+        unary = tuple(i for i, d in enumerate(degrees) if d == 1 and i)
+        out.append((tuple(degrees), unary, degrees.count(0)))
+    return tuple(out)
 
 
-def _build_weighted(shape: tuple, marks: dict, leaf_tag: str):
-    counter = [0]
-
-    def walk(node):
-        idx = counter[0]
-        counter[0] += 1
-        children = tuple(walk(c) for c in node)
-        if not children:
-            return (leaf_tag, ())
-        return (marks.get(idx, "1"), children)
-
-    return walk(shape)
+def _build_weighted(degrees: Tuple[int, ...], tags: list, leaf):
+    """The weighted tree with these pre-order out-degrees and internal tags;
+    every leaf is `leaf`.  Built bottom-up in reverse pre-order, so the next
+    node's children are on top of the stack, first child last pushed."""
+    stack = []
+    for i in range(len(degrees) - 1, -1, -1):
+        d = degrees[i]
+        if not d:
+            stack.append(leaf)
+        elif d == 1:
+            stack.append((tags[i], (stack.pop(),)))
+        else:
+            children = tuple(stack[-1:-d - 1:-1])
+            del stack[-d:]
+            stack.append((tags[i], children))
+    return stack[0]
 
 
 _TAG_WEIGHTS = {
@@ -333,8 +336,8 @@ _FAMILY = {
 }
 
 
-def tree_weight(t) -> QPolynomial:
-    """Product of vertex weights: an integer coefficient times a power of q."""
+def _tree_key(t) -> Tuple[int, int]:
+    """The weight as (coefficient, exponent): the product of vertex weights."""
     coeff, exponent = 1, 0
     stack = [t]
     while stack:
@@ -343,7 +346,12 @@ def tree_weight(t) -> QPolynomial:
         coeff *= c
         exponent += e
         stack.extend(children)
-    return QPolynomial.monomial(coeff, exponent, "q")
+    return coeff, exponent
+
+
+def tree_weight(t) -> QPolynomial:
+    """Product of vertex weights: an integer coefficient times a power of q."""
+    return QPolynomial.monomial(*_tree_key(t), "q")
 
 
 def serialize_tree(t) -> str:
@@ -356,13 +364,16 @@ def serialize_tree(t) -> str:
 def _iter_family_trees(n: int, k: int, family: str) -> Iterator:
     info = _FAMILY[family]
     marks_needed = n - k
-    for shape in _tree_shapes(n + 2):
-        unary = _shape_unary_positions(shape)
+    leaf = (info["leaf"], ())
+    for degrees, unary, _ in _shape_info(n + 2):
         if len(unary) < marks_needed:
             continue
         for positions in combinations(unary, marks_needed):
-            for tags in product(info["marks"], repeat=marks_needed):
-                yield _build_weighted(shape, dict(zip(positions, tags)), info["leaf"])
+            for marks in product(info["marks"], repeat=marks_needed):
+                tags = ["1"] * len(degrees)
+                for position, mark in zip(positions, marks):
+                    tags[position] = mark
+                yield _build_weighted(degrees, tags, leaf)
 
 
 def _enumerate_family(n: int, k: int, family: str) -> list:
@@ -390,11 +401,9 @@ def _family_weight(n: int, k: int, family: str) -> QPolynomial:
         marks[sum(e for _, e in tags)] += prod(c for c, _ in tags)
     leaf_coeff, leaf_exponent = info["leaf_weight"]
     counts = [0] * (leaf_exponent * (n + 2) + max(marks) + 1)
-    for shape in _tree_shapes(n + 2):
-        unary = _shape_unary_positions(shape)
+    for _, unary, leaves in _shape_info(n + 2):
         if len(unary) < m:
             continue
-        leaves = _shape_leaf_count(shape)
         scale, base = leaf_coeff**leaves, leaf_exponent * leaves
         for _ in combinations(unary, m):
             for exponent, coeff in marks.items():
@@ -614,6 +623,11 @@ def _psi_rec(t, family: str):
 # -- involution certificates --------------------------------------------------------
 
 
+CERTIFICATES = (
+    "multiset_closure", "self_inverse", "weight_reversal", "fixed_set_match", "total_weight",
+)
+
+
 @dataclass
 class InvolutionReport:
     family: str
@@ -625,56 +639,79 @@ class InvolutionReport:
     fixed_weight: QPolynomial
     pairs: list = field(default_factory=list)
     counterexample: Optional[str] = None
+    # certificate -> failing elements (self_inverse, weight_reversal), entries
+    # by which two multisets differ (multiset_closure, fixed_set_match), or
+    # exponents at which the two weights differ (total_weight)
+    failures: dict = field(default_factory=dict)
 
     @property
     def certified(self) -> bool:
         return all(self.certificates.values())
 
 
-def _certify(family, n, elements, is_fixed, apply, weight, serialize, expected_fixed,
+def _misses(tally: Counter) -> int:
+    """Entries by which a signed tally (one side +, the other -) is off zero."""
+    return sum(map(abs, tally.values()))
+
+
+def _tally_poly(tally: Counter) -> QPolynomial:
+    """The polynomial of an exponent -> coefficient tally."""
+    return QPolynomial([tally[x] for x in range(max(tally, default=-1) + 1)], "q")
+
+
+def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixed,
              collect_pairs=False):
-    fixed = [e for e in elements if is_fixed(e)]
-    moving = [e for e in elements if not is_fixed(e)]
-    certs = {
-        "multiset_closure": True,
-        "self_inverse": True,
-        "weight_reversal": True,
-        "fixed_set_match": True,
-        "total_weight": True,
-    }
+    """The five certificates in one pass over `elements` (any iterable).
+
+    `key(e)` is e's weight as an integer (coefficient, exponent); weights
+    are tallied as exponent -> coefficient and become polynomials once, at
+    the end.  The multisets compare the elements themselves, which is as
+    strict as comparing their (injective) serialisations; `serialize` is
+    only called for the counterexample and the pairs."""
+    closure = Counter()  # moving elements count +1, their images -1
+    fixed_match = Counter()  # fixed elements found +1, expected -1
+    total, fixed_weight = Counter(), Counter()  # exponent -> coefficient
+    size = fixed_count = self_inverse = weight_reversal = 0
     counterexample = None
-    pairs = []
-    images = []
-    seen_pairs = set()
-    for e in moving:
-        img = apply(e)
-        images.append(img)
-        if weight(img) != -weight(e):
-            certs["weight_reversal"] = False
-            counterexample = counterexample or serialize(e)
-        if apply(img) != e:
-            certs["self_inverse"] = False
-            counterexample = counterexample or serialize(e)
-        if collect_pairs:
-            key = frozenset((serialize(e), serialize(img)))
-            if key not in seen_pairs:
-                seen_pairs.add(key)
-                pairs.append((serialize(e), serialize(img)))
-    if Counter(map(serialize, moving)) != Counter(map(serialize, images)):
-        certs["multiset_closure"] = False
-    if Counter(map(serialize, fixed)) != Counter(map(serialize, expected_fixed)):
-        certs["fixed_set_match"] = False
-    total = QPolynomial.zero("q")
+    pairs, seen_pairs = [], set()
     for e in elements:
-        total = total + weight(e)
-    fixed_weight = QPolynomial.zero("q")
+        size += 1
+        coeff, exponent = key(e)
+        total[exponent] += coeff
+        if is_fixed(e):
+            fixed_count += 1
+            fixed_match[e] += 1
+            continue
+        img = apply(e)
+        closure[e] += 1
+        closure[img] -= 1
+        # weights are nonzero monomials, so equal keys <=> equal weights
+        reversed_ok = key(img) == (-coeff, exponent)
+        inverse_ok = apply(img) == e
+        weight_reversal += not reversed_ok
+        self_inverse += not inverse_ok
+        if not (reversed_ok and inverse_ok) and not counterexample:
+            counterexample = serialize(e)
+        if collect_pairs:
+            pair = frozenset((e, img))
+            if pair not in seen_pairs:
+                seen_pairs.add(pair)
+                pairs.append((serialize(e), serialize(img)))
     for e in expected_fixed:
-        fixed_weight = fixed_weight + weight(e)
-    if total != fixed_weight:
-        certs["total_weight"] = False
+        fixed_match[e] -= 1
+        coeff, exponent = key(e)
+        fixed_weight[exponent] += coeff
+    failures = {
+        "multiset_closure": _misses(closure),
+        "self_inverse": self_inverse,
+        "weight_reversal": weight_reversal,
+        "fixed_set_match": _misses(fixed_match),
+        "total_weight": sum(total[x] != fixed_weight[x] for x in total.keys() | fixed_weight.keys()),
+    }
     return InvolutionReport(
-        family, n, len(elements), len(fixed), certs, total, fixed_weight,
-        pairs=pairs, counterexample=counterexample,
+        family, n, size, fixed_count, {name: not failures[name] for name in CERTIFICATES},
+        _tally_poly(total), _tally_poly(fixed_weight),
+        pairs=pairs, counterexample=counterexample, failures=failures,
     )
 
 
@@ -684,28 +721,28 @@ def involution_verify(family: str, n: int, collect_pairs: bool = False) -> Invol
     match, and total weight equal to the fixed-set weight."""
     if family == "D":
         _check_cap(n, FAMILY_D_CAP, "involution_verify(D)")
-        elements = [
+        elements = (
             flatten(e) for k in range(n + 1) for e in iter_family_D(n, k)
-        ]
-        expected_fixed = [
+        )
+        expected_fixed = (
             WeightedDyckPath(p, (0,) * n) for p in _dyck_paths(n)
-        ]
+        )
         return _certify(
             family, n, elements,
             is_fixed=lambda p: all(t == 0 for t in p.tags),
-            apply=phi, weight=path_weight, serialize=serialize_path,
+            apply=phi, key=_path_key, serialize=serialize_path,
             expected_fixed=expected_fixed, collect_pairs=collect_pairs,
         )
     if family in ("P", "Q"):
         _check_cap(n, _FAMILY[family]["cap"], f"involution_verify({family})")
-        elements = [
+        elements = (
             t for k in range(n + 1) for t in _iter_family_trees(n, k, family)
-        ]
+        )
         expected_fixed = fixed_set_P(n) if family == "P" else fixed_set_Q(n)
         return _certify(
             family, n, elements,
             is_fixed=lambda t: is_fixed_tree(t, family),
-            apply=lambda t: psi(t, family), weight=tree_weight,
+            apply=lambda t: psi(t, family), key=_tree_key,
             serialize=serialize_tree,
             expected_fixed=expected_fixed, collect_pairs=collect_pairs,
         )
@@ -721,6 +758,6 @@ def dbar_involution_check(n: int) -> InvolutionReport:
     return _certify(
         "Dbar", n, elements,
         is_fixed=lambda p: all(t == 0 for t in p.tags),
-        apply=phi, weight=path_weight, serialize=serialize_path,
+        apply=phi, key=_path_key, serialize=serialize_path,
         expected_fixed=[],
     )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from narayana import combinat
 from narayana.cli import _CHECKS, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from narayana.identities import IDENTITY_TAGS
 
@@ -20,6 +21,21 @@ NON_IDENTITY_CHECKS = {
 # sha256 of `verify --identity all --max-n 6 --format json` before the checks
 # moved into one table
 ALL_MAX_N_6_JSON_SHA256 = "44e89d1953ca58f1df99a13c8a8383559567ce7602a3ac8b6fc4629aecb42390"
+
+# sha256 of stdout before the one-pass certifier and the streamed `enumerate`
+INVOLUTION_PAIRS_SHA256 = {
+    ("D", "4"): "409ad13520972762275c71da4b04769120a208848e88aee18e4095047b150687",
+    ("P", "5"): "835b8a424776030e982c075cd2b1680ea6670b8c78c6451b3c4893eaa550da05",
+    ("Q", "4"): "a45f9c6dc3aee656af47b5dc8dec5b6bf36613d69175a23472839a0065e679a5",
+}
+ENUMERATE_SHA256 = {
+    ("dyck", "4"): "94f4f24c801b142717d32cd90d5cf01013be84ca3fef31edbcbed93c89c54abc",
+    ("D", "4"): "66b8fe2e35fbff19d462753e9de325733840ca646ddce0cd6375e6cad55fa0ba",
+    ("P", "5"): "9d4cabf74ccd8eba2cf2a637b198ac237806400c8b9c9ec7d974f1ed96010b50",
+    ("Q", "4"): "7d840ca999fd74e301ef13c2afd0a951d22c2fdb15acf978a9217a4629553faa",
+    ("D", "4", "2"): "ceecffee4e6d40df360c634ddaf7d1cac6949d85cd6539a2e9ad9e2e30fe297a",
+    ("P", "5", "3"): "825a0821a5ce87bbacec1895f14f16e43cce55143807f95175cfc6547f59fe53",
+}
 
 
 def run(capsys, *argv):
@@ -190,6 +206,24 @@ class TestInvolution:
         code, _, err = run(capsys, "involution", "--family", "D", "--n", "99")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("family,n", INVOLUTION_PAIRS_SHA256)
+    def test_output_is_pinned(self, capsys, family, n):
+        code, out, _ = run(capsys, "involution", "--family", family, "--n", n, "--emit-pairs")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == INVOLUTION_PAIRS_SHA256[family, n]
+
+    def test_failure_counts_go_to_stderr(self, capsys, monkeypatch):
+        _, passing, _ = run(capsys, "involution", "--family", "D", "--n", "3")
+        monkeypatch.setattr(combinat, "phi", lambda p: p)  # keeps every weight
+        report = combinat.involution_verify("D", 3)
+        code, out, err = run(capsys, "involution", "--family", "D", "--n", "3")
+        assert code == EXIT_MISMATCH
+        assert out == passing.replace("weight_reversal: pass", "weight_reversal: FAIL")
+        assert err == (
+            f"counterexample: {report.counterexample}\n"
+            f"failures: weight_reversal={report.size - report.fixed_count}\n"
+        )
+
 
 class TestEnumerate:
     def test_dyck(self, capsys):
@@ -223,6 +257,32 @@ class TestEnumerate:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("enumerate: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", ENUMERATE_SHA256)
+    def test_output_is_pinned(self, capsys, argv):
+        family, n, *k = argv
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--n", n,
+                           *(["--k", k[0]] if k else []))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[argv]
+
+    @pytest.mark.parametrize("family", ["D", "P", "Q"])
+    def test_streams_without_building_the_family(self, capsys, monkeypatch, family):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate built a whole family list")
+
+        monkeypatch.setattr(combinat, f"enumerate_family_{family}", refuse)
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--n", "2")
+        assert code == EXIT_OK
+        assert out.count("\n") > 1
+
+    def test_cap_is_checked_before_output(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--family", "P", "--n", "99")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "enumerate: enumerate_family_P: n=99 exceeds cap 9 (set NARAYANA_CAP to raise it)\n"
+        )
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 
 import pytest
 
@@ -199,3 +200,199 @@ class TestSerialization:
     def test_tree_serialization_deterministic(self):
         t = ("1", (("m1", (("q", ()),)),))
         assert cb.serialize_tree(t) == "1(m1(q))"
+
+
+def _reference_certify(family, n, elements, is_fixed, apply, weight, serialize, expected_fixed,
+                       collect_pairs=False):
+    """The serialise-and-QPolynomial certifier the one-pass `_certify`
+    replaced, kept as the reference it must agree with."""
+    fixed = [e for e in elements if is_fixed(e)]
+    moving = [e for e in elements if not is_fixed(e)]
+    certs = {
+        "multiset_closure": True,
+        "self_inverse": True,
+        "weight_reversal": True,
+        "fixed_set_match": True,
+        "total_weight": True,
+    }
+    counterexample = None
+    pairs = []
+    images = []
+    seen_pairs = set()
+    for e in moving:
+        img = apply(e)
+        images.append(img)
+        if weight(img) != -weight(e):
+            certs["weight_reversal"] = False
+            counterexample = counterexample or serialize(e)
+        if apply(img) != e:
+            certs["self_inverse"] = False
+            counterexample = counterexample or serialize(e)
+        if collect_pairs:
+            key = frozenset((serialize(e), serialize(img)))
+            if key not in seen_pairs:
+                seen_pairs.add(key)
+                pairs.append((serialize(e), serialize(img)))
+    if Counter(map(serialize, moving)) != Counter(map(serialize, images)):
+        certs["multiset_closure"] = False
+    if Counter(map(serialize, fixed)) != Counter(map(serialize, expected_fixed)):
+        certs["fixed_set_match"] = False
+    total = QPolynomial.zero("q")
+    for e in elements:
+        total = total + weight(e)
+    fixed_weight = QPolynomial.zero("q")
+    for e in expected_fixed:
+        fixed_weight = fixed_weight + weight(e)
+    if total != fixed_weight:
+        certs["total_weight"] = False
+    return cb.InvolutionReport(
+        family, n, len(elements), len(fixed), certs, total, fixed_weight,
+        pairs=pairs, counterexample=counterexample,
+    )
+
+
+def _is_all_ones(p):
+    return all(t == 0 for t in p.tags)
+
+
+def _reference_report(family, n, collect_pairs):
+    """The reference certifier on lists built as the old `involution_verify`
+    and `dbar_involution_check` built them."""
+    if family == "Dbar":
+        return _reference_certify(
+            "Dbar", n, cb.dbar_elements(n), _is_all_ones, cb.phi, cb.path_weight,
+            cb.serialize_path, [], collect_pairs,
+        )
+    if family == "D":
+        elements = [cb.flatten(e) for k in range(n + 1) for e in cb.iter_family_D(n, k)]
+        expected = [cb.WeightedDyckPath(p, (0,) * n) for p in cb.enumerate_dyck(n)]
+        return _reference_certify(
+            "D", n, elements, _is_all_ones, cb.phi, cb.path_weight, cb.serialize_path,
+            expected, collect_pairs,
+        )
+    elements = [t for k in range(n + 1) for t in cb._enumerate_family(n, k, family)]
+    return _reference_certify(
+        family, n, elements, lambda t: cb.is_fixed_tree(t, family),
+        lambda t: cb.psi(t, family), cb.tree_weight, cb.serialize_tree,
+        getattr(cb, f"fixed_set_{family}")(n), collect_pairs,
+    )
+
+
+def _report_fields(report):
+    """Every field but `failures`, with each weight's coefficient types."""
+    fields = dict(vars(report))
+    del fields["failures"]
+    for name in ("total_weight", "fixed_weight"):
+        poly = fields[name]
+        fields[name] = (poly.var, poly.coeffs, [type(c) for c in poly.coeffs])
+    return fields
+
+
+NO_FAILURES = dict.fromkeys(cb.CERTIFICATES, 0)
+
+
+class TestCertifier:
+    @pytest.mark.parametrize("collect_pairs", [False, True])
+    @pytest.mark.parametrize("family,top", [("D", 5), ("P", 6), ("Q", 5), ("Dbar", 6)])
+    def test_matches_reference(self, family, top, collect_pairs):
+        for n in range(1 if family == "Dbar" else 0, top + 1):
+            if family == "Dbar":
+                report = cb._certify(
+                    "Dbar", n, cb.dbar_elements(n), _is_all_ones, cb.phi, cb._path_key,
+                    cb.serialize_path, [], collect_pairs,
+                )
+                if not collect_pairs:
+                    assert _report_fields(cb.dbar_involution_check(n)) == _report_fields(report)
+            else:
+                report = cb.involution_verify(family, n, collect_pairs=collect_pairs)
+            expected = _reference_report(family, n, collect_pairs)
+            assert _report_fields(report) == _report_fields(expected), (family, n)
+            assert report.failures == NO_FAILURES, (family, n)
+
+    def test_weights_are_monomials_of_their_keys(self):
+        for p in cb.dbar_elements(3):
+            assert cb.path_weight(p) == QPolynomial.monomial(*cb._path_key(p), "q")
+        for t in cb.enumerate_family_Q(3, 1):
+            assert cb.tree_weight(t) == QPolynomial.monomial(*cb._tree_key(t), "q")
+
+    def test_no_per_element_polynomials(self, monkeypatch):
+        # only the two reported weights are built, however large the family
+        calls = []
+        init = QPolynomial.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QPolynomial, "__init__", counting_init)
+        report = cb.involution_verify("P", 5)
+        assert report.certified and report.size > 1000
+        assert len(calls) <= 2
+
+
+def _psi_table_P(n):
+    """psi on every moving element of family P at n."""
+    trees = [t for k in range(n + 1) for t in cb.enumerate_family_P(n, k)]
+    return {t: cb.psi(t, "P") for t in trees if not cb.is_fixed_tree(t, "P")}
+
+
+def _report_against_reference(family, n):
+    report = cb.involution_verify(family, n)
+    assert _report_fields(report) == _report_fields(_reference_report(family, n, False))
+    return report
+
+
+class TestCertificateMutants:
+    """Each broken involution or fixed set flips exactly the certificates
+    that should catch it, with the expected failure counts, and the report
+    still agrees with the reference certifier."""
+
+    def test_weight_preserving_mutant(self, monkeypatch):
+        monkeypatch.setattr(cb, "phi", lambda p: p)
+        report = _report_against_reference("D", 3)
+        moving = report.size - report.fixed_count
+        assert moving > 0
+        assert report.failures == {**NO_FAILURES, "weight_reversal": moving}
+        assert [name for name, ok in report.certificates.items() if not ok] == ["weight_reversal"]
+        assert report.counterexample is not None
+
+    def test_non_self_inverse_mutant(self, monkeypatch):
+        # rewire two pairs of equal weight into one 4-cycle: still a
+        # weight-reversing bijection of the moving elements, not an involution
+        table = _psi_table_P(4)
+        a = next(iter(table))
+        b = next(t for t in table if t not in (a, table[a])
+                 and cb.tree_weight(t) == cb.tree_weight(a))
+        a2, b2 = table[a], table[b]
+        table.update({a2: b, b2: a})
+        monkeypatch.setattr(cb, "psi", lambda t, family: table[t])
+        report = _report_against_reference("P", 4)
+        assert report.failures == {**NO_FAILURES, "self_inverse": 4}
+        assert report.counterexample is not None
+
+    def test_mutant_leaving_the_family(self, monkeypatch):
+        # t0 goes to a tree with one vertex too many and the same weight as
+        # its true image t1, and back; t1 still goes to t0
+        real_psi = cb.psi
+        t0 = next(t for t in cb.enumerate_family_P(3, 1) if not cb.is_fixed_tree(t, "P"))
+        t1 = real_psi(t0, "P")
+        outside = ("1", (t1,))
+
+        def mutant(t, family):
+            if t == t0:
+                return outside
+            if t == outside:
+                return t0
+            return real_psi(t, family)
+
+        monkeypatch.setattr(cb, "psi", mutant)
+        report = _report_against_reference("P", 3)
+        assert report.failures == {**NO_FAILURES, "multiset_closure": 2, "self_inverse": 1}
+        assert report.counterexample == cb.serialize_tree(t1)
+
+    def test_fixed_set_missing_an_element(self, monkeypatch):
+        real = cb.fixed_set_P
+        monkeypatch.setattr(cb, "fixed_set_P", lambda n: real(n)[1:])
+        report = _report_against_reference("P", 4)
+        assert report.failures == {**NO_FAILURES, "fixed_set_match": 1, "total_weight": 1}
+        assert report.counterexample is None

@@ -19,6 +19,7 @@ from .exact_core import PolySeries, QPolynomial
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
+VERIFY_CAP = 50  # largest `verify --max-n` unless NARAYANA_CAP raises it
 
 
 def _frac_str(f) -> str:
@@ -95,6 +96,11 @@ def _cmd_verify(args) -> int:
     max_n = args.max_n
     if max_n < 0:
         print("verify: --max-n must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        combinat._check_cap(max_n, VERIFY_CAP, "--max-n")
+    except combinat.EnumerationCapError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.identity == "all":
         names = [name for name, (min_n, _) in _CHECKS.items() if max_n >= min_n]

@@ -36,7 +36,7 @@ _ONE_MINUS_Q = QPolynomial((1, -1), "q")
 
 
 class EnumerationCapError(ValueError):
-    """Requested size is beyond the enumeration cap (see NARAYANA_CAP)."""
+    """Requested size is beyond its cap (see NARAYANA_CAP)."""
 
 
 class FixedElementError(ValueError):
@@ -500,14 +500,16 @@ def psi(t, family: str):
     cases; for the Q family the 2q-weighted unary vertices are transparent:
     they are skipped by the complete-binary test and by the root-child chase,
     and are never toggled.
+    A tree that case (a) applies to is never fixed, so only the others are
+    tested against the fixed set.
     """
     if family not in _FAMILY:
         raise ValueError(f"unknown family {family!r}")
-    if is_fixed_tree(t, family):
-        raise FixedElementError("psi is undefined on the fixed set")
     toggled = _toggle_first_unit_unary(t)
     if toggled is not None:
         return toggled
+    if is_fixed_tree(t, family):
+        raise FixedElementError("psi is undefined on the fixed set")
     return _psi_rec(t, family)
 
 

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_core import (
-    IndeterminateMismatchError, QPolynomial, binomial, finite_difference_check
-)
+from .exact_core import IndeterminateMismatchError, QPolynomial, binomial
 from .sequences import (
     catalan,
     catalan_half,
@@ -346,76 +344,67 @@ def integral_representation_check(n: int) -> CheckResult:
     return _result("integral_representation", n, narayana_poly(n), value)
 
 
-def _falling_binomial_poly(shift: int, j: int, var: str = "k") -> QPolynomial:
-    """binom(k + shift, j) as a polynomial in k: the falling product
-    (k+shift)(k+shift-1)...(k+shift-j+1) / j!."""
-    if j < 0:
-        return QPolynomial.zero(var)
-    k = QPolynomial((0, 1), var)
-    prod = QPolynomial.one(var)
-    for i in range(j):
-        prod = prod * (k + (shift - i))
-    return Fraction(1, math.factorial(j)) * prod
+def _times_linear(p: list, c0: int, c1: int) -> list:
+    """The int coefficients of p(k) * (c0 + c1 k), low degree first."""
+    return [c0 * a + c1 * b for a, b in zip(p + [0], [0] + p)]
 
 
 def lemma_difference_argument(n: int) -> bool:
-    """Certify f_n(q) = 0 without expanding f_n directly.
+    """Certify f_n(q) = 0 in integers only, without expanding f_n.
 
-    The coefficient of q^m in f_n is sum_k (-1)^k binom(2n+1,k) p(k) where
-    p(k) = sum_j N_{k+1,j} binom(2n+1-k, m-j) is, for 1 <= m <= n+1, a
-    polynomial in k of degree at most 2n.  The alternating-sign difference
-    formula kills every such polynomial, and the reversal symmetry
-    f_n(q) = q^{2n+3} f_n(1/q) transfers the vanishing to the high window
-    n+2 <= m <= 2n+2.
+    With N = 2n+1, coefficient m of f_n is sum_k (-1)^k binom(N, k) P_m(k),
+    P_m(k) = sum_j N_{k+1,j} binom(N-k, m-j), read from narayana_poly(k+1).
+    - Engine: (x-k)^r expands binomially, so the alternating sums reduce to
+      S_i = sum_k (-1)^k binom(N, k) k^i: 0 for i < N, (-1)^N N! for i = N.
+    - Low window, 1 <= m <= n+1: N_{k+1,j} = F_j(k) / (j! (j-1)!) with the int
+      polynomial F_j = (k+1)k...(k-j+3) * k(k-1)...(k-j+2) of degree 2j-2, checked
+      against narayana_poly(k+1)'s coefficients j <= n+1 at every k <= N; and
+      binom(N-k, m-j) is a falling product of degree m-j.  So P_m, held as int
+      coefficients c_i over one common denominator, has degree m+j-2 <= 2n
+      and alternating sum sum_i c_i S_i = 0.
+    - High window, n+2 <= m <= 2n+2: each narayana_poly(k+1) is palindromic of
+      degree k+2 with zero constant term, and (1+q)^(N-k) of degree N-k, so
+      q^{2n+3} f_n(1/q) = f_n(q) term by term; coefficient m maps onto
+      2n+3-m in the low window, and 2n+3 onto the zero coefficient 0.
     """
     big = 2 * n + 1
-    # the engine: alternating differences annihilate degree < big
-    for r in range(big + 1):
-        d = finite_difference_check(big, r)
-        expected = (
-            QPolynomial.constant(math.factorial(big), "x")
-            if r == big
-            else QPolynomial.zero("x")
-        )
-        if d != expected:
-            return False
-    # low window: each q^m coefficient is an alternating sum of a
-    # polynomial in k of degree <= 2n, hence zero
-    k_var = QPolynomial((0, 1), "k")
-    for m in range(1, n + 2):
-        p = QPolynomial.zero("k")
-        for j in range(1, m + 1):
-            # N_{k+1,j} = binom(k+1,j-1) binom(k+1,j) / (k+1); dividing the
-            # second factor by (k+1) leaves binom(k,j-1)/j, a polynomial
-            narayana_part = (
-                Fraction(1, j)
-                * _falling_binomial_poly(1, j - 1)
-                * _falling_binomial_poly(0, j - 1)
-            )
-            # binom(2n+1-k, m-j) is a falling product in -k
-            chooser = QPolynomial.one("k")
-            for i in range(m - j):
-                chooser = chooser * (big - i - k_var)
-            chooser = Fraction(1, math.factorial(m - j)) * chooser
-            p = p + narayana_part * chooser
-        if p.degree > 2 * n:
-            return False
-        total = Fraction(0)
-        for k in range(big + 1):
-            total += (-1) ** k * binomial(big, k) * p(k)
-        if total != 0:
-            return False
-    # high window by the palindromic reversal of f_n
-    f = f_poly(n)
-    deg = 2 * n + 2
-    reversed_f = QPolynomial(
-        tuple(f.coefficient(deg + 1 - i) for i in range(deg + 2)), "q"
-    )
-    if reversed_f != f:
+    # engine: the power sums S_0..S_N
+    weights = [(-1) ** k * binomial(big, k) for k in range(big + 1)]
+    powers, sums = [1] * (big + 1), []
+    for _ in range(big + 1):
+        sums.append(sum(w * p for w, p in zip(weights, powers)))
+        powers = [p * k for k, p in enumerate(powers)]
+    if any(sums[:big]) or sums[big] != (-1) ** big * math.factorial(big):
         return False
-    # the two windows cover every coefficient, and coefficient 0 is trivially
-    # zero since each summand is divisible by q
-    return f.coefficient(0) == 0
+    stored = [narayana_poly(k + 1).coeffs for k in range(big + 1)]
+    # high window: every summand is palindromic of degree 2n+3
+    for k, c in enumerate(stored):
+        padded = list(c) + [0] * (k + 3 - len(c))
+        if len(padded) != k + 3 or padded[0] != 0 or padded != padded[::-1]:
+            return False
+    if any(binomial(j, i) != binomial(j, j - i) for j in range(big + 1) for i in range(j + 1)):
+        return False
+    # low window: tie F_j to the stored coefficients, then sum scale * P_m
+    scale = math.factorial(n + 1) ** 2
+    low = [[0] * big for _ in range(n + 2)]  # low[m]: scale * P_m
+    narayana_part = [1]  # F_j
+    for j in range(1, n + 2):
+        den = math.factorial(j) * math.factorial(j - 1)
+        for k, c in enumerate(stored):
+            value = 0
+            for a in reversed(narayana_part):
+                value = value * k + a
+            if divmod(value, den) != ((c[j] if j < len(c) else 0), 0):
+                return False
+        term = narayana_part  # F_j(k) binom(N-k, m-j) (m-j)!, degree m+j-2
+        for m in range(j, n + 2):
+            if len(term) - 1 > 2 * n:
+                return False
+            weight = scale // (den * math.factorial(m - j))
+            low[m][: len(term)] = [r + weight * a for r, a in zip(low[m], term)]
+            term = _times_linear(term, big - (m - j), -1)
+        narayana_part = _times_linear(_times_linear(narayana_part, 2 - j, 1), 1 - j, 1)
+    return all(sum(c * s for c, s in zip(row, sums)) == 0 for row in low[1:])
 
 
 # -- inverse relations ---------------------------------------------------------

@@ -142,6 +142,26 @@ class TestVerify:
         second = run(capsys, "verify", "--identity", "main_39", "--max-n", "5")
         assert first == second
 
+    @pytest.mark.parametrize("max_n", ["51", "1000000000"])
+    def test_verify_max_n_over_cap(self, capsys, monkeypatch, max_n):
+        monkeypatch.delenv("NARAYANA_CAP", raising=False)
+        code, out, err = run(capsys, "verify", "--identity", "parity", "--max-n", max_n)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"verify: --max-n: n={max_n} exceeds cap 50 (set NARAYANA_CAP to raise it)\n"
+        )
+
+    @pytest.mark.parametrize("cap, max_n", [(None, "50"), ("51", "51")])
+    def test_verify_max_n_within_cap(self, capsys, monkeypatch, cap, max_n):
+        if cap is None:
+            monkeypatch.delenv("NARAYANA_CAP", raising=False)
+        else:
+            monkeypatch.setenv("NARAYANA_CAP", cap)
+        code, out, _ = run(capsys, "verify", "--identity", "parity", "--max-n", max_n)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1].startswith(f"parity n={max_n} ")
+
 
 class TestTable:
     def test_catalan_csv(self, capsys):

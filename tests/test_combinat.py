@@ -190,6 +190,28 @@ class TestInvolutions:
         with pytest.raises(ValueError):
             cb.dbar_involution_check(0)
 
+    @pytest.mark.parametrize("family", ["P", "Q"])
+    def test_psi_rejects_every_fixed_tree(self, family):
+        for n in range(6):
+            for t in getattr(cb, f"fixed_set_{family}")(n):
+                with pytest.raises(cb.FixedElementError):
+                    cb.psi(t, family)
+
+    def test_fixed_test_once_per_element_and_image(self, monkeypatch):
+        # the certifier tests each element; psi tests only the trees it does
+        # not toggle, so its images cost at most one more test each
+        calls = []
+        real = cb.is_fixed_tree
+
+        def counting(t, family):
+            calls.append(1)
+            return real(t, family)
+
+        monkeypatch.setattr(cb, "is_fixed_tree", counting)
+        report = cb.involution_verify("P", 5)
+        assert report.certified
+        assert len(calls) <= report.size + (report.size - report.fixed_count)
+
 
 class TestSerialization:
     def test_path_round_readable(self):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from narayana import exact_core, identities, sequences
 from narayana.exact_core import IndeterminateMismatchError, QPolynomial, binomial
 from narayana.identities import (
     IDENTITY_TAGS,
@@ -136,6 +138,76 @@ class TestLemma:
             tuple(total.coefficient(deg + 1 - i) for i in range(deg + 2)), "q"
         )
         assert mirrored == total
+
+
+@pytest.fixture
+def narayana_mutant(monkeypatch):
+    """Install a mutant of narayana_number at one index behind a cleared
+    narayana_poly cache; the real one and a clean cache come back after."""
+
+    def install(index, mutant):
+        real = sequences.narayana_number
+        monkeypatch.setattr(
+            sequences, "narayana_number",
+            lambda n, k: mutant(real, n, k) if n == index else real(n, k),
+        )
+        sequences.narayana_poly.cache_clear()
+
+    yield install
+    monkeypatch.undo()
+    sequences.narayana_poly.cache_clear()
+
+
+class TestLemmaIndependence:
+    """The lemma is a second path: it reads narayana_poly's stored
+    coefficients and binomials in integers, never f_poly or a polynomial
+    product, and a wrong Narayana polynomial makes it fail."""
+
+    def test_never_calls_f_poly(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("lemma_difference_argument called f_poly")
+
+        monkeypatch.setattr(identities, "f_poly", refuse)
+        for n in range(7):
+            assert lemma_difference_argument(n)
+
+    @pytest.mark.parametrize(
+        "index, mutant",
+        [
+            (5, lambda real, n, k: 2 * real(n, k)),  # still palindromic
+            (7, lambda real, n, k: real(n, k) + (k == 3)),  # low coefficient
+            (6, lambda real, n, k: real(n, k) + (k == 5)),  # high coefficient
+        ],
+        ids=["N5-doubled", "N7,3-plus-one", "N6,5-plus-one"],
+    )
+    def test_wrong_narayana_poly_fails(self, narayana_mutant, index, mutant):
+        narayana_mutant(index, mutant)
+        for n in range(7):
+            # f_n reads narayana_poly(1..2n+2) and nothing else
+            assert lemma_difference_argument(n) == (index > 2 * n + 2), n
+
+    def test_no_polynomial_products(self, monkeypatch):
+        lemma_difference_argument(6)  # fill the narayana_poly cache it reads
+        calls = Counter()
+
+        def counting(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        for cls, attr in ((QPolynomial, "__init__"), (QPolynomial, "__mul__"),
+                          (QPolynomial, "__rmul__"), (Fraction, "__mul__"),
+                          (Fraction, "__rmul__")):
+            monkeypatch.setattr(cls, attr, counting(f"{cls.__name__}.{attr}", vars(cls)[attr]))
+        monkeypatch.setattr(exact_core, "finite_difference_check", counting(
+            "finite_difference_check", exact_core.finite_difference_check))
+        assert lemma_difference_argument(6)
+        assert calls == Counter()
+        # the counters are live: the direct expansion trips them
+        f_poly(1)
+        assert calls["QPolynomial.__mul__"] and calls["QPolynomial.__init__"]
 
 
 class TestParityScan:

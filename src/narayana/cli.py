@@ -20,6 +20,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 VERIFY_CAP = 50  # largest `verify --max-n` unless NARAYANA_CAP raises it
+TABLE_CAP = 1000  # largest `table --max-n` unless NARAYANA_CAP raises it
 
 
 def _frac_str(f) -> str:
@@ -40,6 +41,22 @@ def _value_repr(v):
 def _value_text(v) -> str:
     r = _value_repr(v)
     return json.dumps(r) if isinstance(r, list) else r
+
+
+def _first_difference(lhs, rhs) -> str:
+    """Where two unequal check sides first differ: the x-power of a series,
+    then the degree of a polynomial coefficient, then both values."""
+    if isinstance(lhs, PolySeries) and isinstance(rhs, PolySeries):
+        for m, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+            if a != b:
+                return f"x^{m} " + _first_difference(a, b)
+    elif isinstance(lhs, QPolynomial) or isinstance(rhs, QPolynomial):
+        lhs, rhs = (QPolynomial._coerce(v, "q") for v in (lhs, rhs))
+        for d in range(max(len(lhs.coeffs), len(rhs.coeffs))):
+            a, b = lhs.coefficient(d), rhs.coefficient(d)
+            if a != b:
+                return f"degree {d}: lhs={_frac_str(a)} rhs={_frac_str(b)}"
+    return f"lhs={_value_text(lhs)} rhs={_value_text(rhs)}"
 
 
 def _emit_check(result, fmt: str):
@@ -125,6 +142,12 @@ def _cmd_verify(args) -> int:
     for name in names:
         for result in _CHECKS[name][1](max_n):
             _emit_check(result, args.format)
+            if not result.equal:
+                print(
+                    f"verify: {result.identity} n={result.n} first differs at "
+                    + _first_difference(result.lhs, result.rhs),
+                    file=sys.stderr,
+                )
             all_equal = all_equal and result.equal
     return EXIT_OK if all_equal else EXIT_MISMATCH
 
@@ -155,6 +178,11 @@ _SEQUENCES = {
 def _cmd_table(args) -> int:
     if args.max_n < 0:
         print("table: --max-n must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        combinat._check_cap(args.max_n, TABLE_CAP, "--max-n")
+    except combinat.EnumerationCapError as exc:
+        print(f"table: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.sequence not in _SEQUENCES:
         print(

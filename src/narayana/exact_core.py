@@ -268,6 +268,23 @@ def finite_difference_check(n: int, r: int) -> QPolynomial:
     return total
 
 
+def _combine(terms, divisor: int = 1) -> QPolynomial:
+    """sum(weight * p for weight, p in terms) / divisor, summed in one list of
+    coefficients rather than one QPolynomial per partial sum."""
+    acc, var = [], None
+    for weight, p in terms:
+        if not p.is_constant:
+            if var not in (None, p.var):
+                raise IndeterminateMismatchError(
+                    f"cannot combine polynomials in {var!r} and {p.var!r}"
+                )
+            var = p.var
+        acc.extend([0] * (len(p.coeffs) - len(acc)))
+        for d, c in enumerate(p.coeffs):
+            acc[d] += weight * c
+    return QPolynomial([Fraction(c, divisor) for c in acc] if divisor != 1 else acc, var or "q")
+
+
 class PolySeries:
     """Power series in x truncated at a fixed order.
 
@@ -342,15 +359,16 @@ class PolySeries:
             return PolySeries(tuple(c * other for c in self.coeffs), self.order)
         self._check_order(other)
         n = self.order
-        out = [QPolynomial.zero() for _ in range(n + 1)]
+        right = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero]
+        terms = [[] for _ in range(n + 1)]
         for i, a in enumerate(self.coeffs):
             if a.is_zero:
                 continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return PolySeries(out, n)
+            for j, b in right:
+                if i + j > n:
+                    break
+                terms[i + j].append((1, a * b))
+        return PolySeries([_combine(t) for t in terms], n)
 
     __rmul__ = __mul__
 
@@ -366,6 +384,23 @@ class PolySeries:
             e >>= 1
         return result
 
+    def _power(self, alpha: Fraction) -> "PolySeries":
+        """self^alpha for rational alpha = a/b, the constant coefficient being 1, by
+        J.C.P. Miller's recurrence b n y_n = sum_i ((a + b) i - b n) f_i y_{n-i}
+        over the nonzero f_i only (Knuth, TAOCP vol. 2, 4.7): one polynomial
+        product per nonzero coefficient of self and output coefficient."""
+        a, b = alpha.numerator, alpha.denominator
+        terms = [(i, f) for i, f in enumerate(self.coeffs) if i and not f.is_zero]
+        out = [QPolynomial.one()]
+        for n in range(1, self.order + 1):
+            weighted = [
+                ((a + b) * i - b * n, f * out[n - i])
+                for i, f in terms
+                if i <= n and (a + b) * i != b * n
+            ]
+            out.append(_combine(weighted, b * n))
+        return PolySeries(out, self.order)
+
     def reciprocal(self) -> "PolySeries":
         """Multiplicative inverse, exact through the truncation order.
 
@@ -376,14 +411,11 @@ class PolySeries:
             raise SeriesPreconditionError(
                 f"reciprocal needs a nonzero constant leading coefficient, got {c0!r}"
             )
-        inv0 = Fraction(1) / c0.constant_value()
-        out = [QPolynomial.constant(inv0)]
-        for n in range(1, self.order + 1):
-            acc = QPolynomial.zero()
-            for i in range(1, n + 1):
-                acc = acc + self.coeffs[i] * out[n - i]
-            out.append(acc * (-inv0))
-        return PolySeries(out, self.order)
+        c0 = c0.constant_value()
+        if c0 == 1:
+            return self._power(Fraction(-1))
+        inv0 = Fraction(1) / c0
+        return (self * inv0)._power(Fraction(-1)) * inv0
 
     def sqrt(self) -> "PolySeries":
         """Square root by coefficient recurrence; needs constant coefficient 1."""
@@ -392,26 +424,28 @@ class PolySeries:
             raise SeriesPreconditionError(
                 f"sqrt needs constant coefficient 1, got {c0!r}"
             )
-        half = Fraction(1, 2)
-        out = [QPolynomial.one()]
-        for n in range(1, self.order + 1):
-            acc = self.coeffs[n]
-            for i in range(1, n):
-                acc = acc - out[i] * out[n - i]
-            out.append(acc * half)
-        return PolySeries(out, self.order)
+        return self._power(Fraction(1, 2))
 
     def compose(self, inner: "PolySeries") -> "PolySeries":
-        """self(inner(x)); the inner series must have zero constant term."""
+        """self(inner(x)); the inner series must have zero constant term.
+
+        Summed as sum_j c_j inner^j with each power grown from the last: inner^j
+        starts at x^j and the series product skips zero coefficients, so this is
+        a triangle of products, not Horner's order + 1 full ones.
+        """
         self._check_order(inner)
         if not inner.coeffs[0].is_zero:
             raise SeriesPreconditionError(
                 f"composition needs zero inner constant term, got {inner.coeffs[0]!r}"
             )
-        result = PolySeries.zero(self.order)
-        for c in reversed(self.coeffs):
-            result = result * inner + c
-        return result
+        terms = [[(1, self.coeffs[0])]] + [[] for _ in range(self.order)]
+        power = PolySeries.one(self.order)
+        for c in self.coeffs[1:]:
+            power = power * inner
+            for m, p in enumerate(power.coeffs):
+                if not (p.is_zero or c.is_zero):
+                    terms[m].append((c.coeffs[0], p) if c.is_constant else (1, c * p))
+        return PolySeries([_combine(t) for t in terms], self.order)
 
     def shift_down(self, m: int) -> "PolySeries":
         """Divide by x^m; the m lowest coefficients must vanish exactly."""

@@ -22,10 +22,7 @@ def catalan_series(order: int) -> PolySeries:
     """
     if order < 0:
         raise ValueError("catalan_series: negative order")
-    cs = [Fraction(1)]
-    for n in range(1, order + 1):
-        cs.append(sum(cs[i] * cs[n - 1 - i] for i in range(n)))
-    return PolySeries(cs, order)
+    return PolySeries(_catalan_power(1, order), order)
 
 
 def omega_series(order: int) -> PolySeries:
@@ -71,14 +68,12 @@ def omega_composition_check(variant: str, order: int) -> CheckResult:
     x = PolySeries([0, 1], order)
     if variant == "first":
         d = PolySeries([QPolynomial.one("q"), QPolynomial((1, -1), "q")], order)
-        inv_d = d.reciprocal()
-        inner = x * (inv_d * inv_d)
-        composed = c.compose(inner) * inv_d
+        inner = x * (d * d).reciprocal()
+        composed = c.compose(inner) * d.reciprocal()
     elif variant == "second":
         e = PolySeries([QPolynomial.one("q"), QPolynomial((-1, -1), "q")], order)
-        inv_e = e.reciprocal()
-        inner = (x * x) * (inv_e * inv_e) * _Q
-        composed = c.compose(inner) * inv_e * x * _Q + 1
+        inner = (x * x) * (e * e).reciprocal() * _Q
+        composed = c.compose(inner) * e.reciprocal() * x * _Q + 1
     else:
         raise ValueError(f"unknown composition variant {variant!r}")
     return _result(
@@ -86,32 +81,35 @@ def omega_composition_check(variant: str, order: int) -> CheckResult:
     )
 
 
+# odd exponent e -> [x^0], [x^1], ... of C(x)^e as ints, grown on demand
 _catalan_power_cache: dict = {}
 
 
-def _catalan_power(exponent: int, order: int) -> PolySeries:
-    """C(x)^exponent at the given order, cached incrementally over odd powers."""
-    key = (exponent, order)
-    if key not in _catalan_power_cache:
-        if exponent == 0:
-            _catalan_power_cache[key] = PolySeries.one(order)
-        elif exponent <= 2:
-            c = catalan_series(order)
-            _catalan_power_cache[(1, order)] = c
-            _catalan_power_cache[(2, order)] = c * c
-        else:
-            _catalan_power_cache[key] = _catalan_power(
-                exponent - 2, order
-            ) * _catalan_power(2, order)
-    return _catalan_power_cache[key]
+def _catalan_power(exponent: int, order: int) -> list:
+    """Coefficients of C(x)^exponent through x^order, for odd exponent >= 1.
+
+    Each power is grown in place and only past what is already cached, so
+    every coefficient is computed once: C itself by the convolution
+    recurrence C_m = sum C_i C_{m-1-i}, which also makes C_{m+1} the x^m
+    coefficient of C^2, and C^e = C^(e-2) * C^2.
+    """
+    catalan = _catalan_power_cache.setdefault(1, [1])
+    while len(catalan) < order + (2 if exponent > 1 else 1):
+        m = len(catalan)
+        catalan.append(sum(catalan[i] * catalan[m - 1 - i] for i in range(m)))
+    for e in range(3, exponent + 1, 2):
+        lower = _catalan_power_cache[e - 2]
+        cs = _catalan_power_cache.setdefault(e, [1])
+        for m in range(len(cs), order + 1):
+            cs.append(sum(lower[i] * catalan[m + 1 - i] for i in range(m + 1)))
+    return _catalan_power_cache[exponent][: order + 1]
 
 
 def lagrange_coefficient_check(n: int, k: int) -> CheckResult:
     """[x^{n-k}] C(x)^{2k+1} against (2k+1)/(2n+1) binom(2n+1, n-k)."""
     if not 0 <= k <= n:
         raise ValueError(f"lagrange_coefficient_check requires 0 <= k <= n, got {n=} {k=}")
-    power = _catalan_power(2 * k + 1, n - k)
-    lhs = power.coefficient(n - k).constant_value()
+    lhs = _catalan_power(2 * k + 1, n - k)[n - k]
     rhs = Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
     return _result("lagrange_coefficient", n, lhs, rhs)
 
@@ -128,7 +126,7 @@ def legendre_gf_check(order: int) -> CheckResult:
         ],
         order,
     )
-    series = radicand.sqrt().reciprocal()
+    series = radicand._power(Fraction(-1, 2))
     expected = PolySeries(
         [legendre_poly(n, "standard") for n in range(order + 1)], order
     )

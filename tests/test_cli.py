@@ -1,11 +1,14 @@
 import hashlib
 import itertools
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from narayana import combinat
-from narayana.cli import _CHECKS, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from narayana import combinat, exact_core, identities, sequences, series
+from narayana.cli import _CHECKS, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, TABLE_CAP, main
 from narayana.identities import IDENTITY_TAGS
 
 # non-identity check -> records it emits at --max-n 3
@@ -21,6 +24,12 @@ NON_IDENTITY_CHECKS = {
 # sha256 of `verify --identity all --max-n 6 --format json` before the checks
 # moved into one table
 ALL_MAX_N_6_JSON_SHA256 = "44e89d1953ca58f1df99a13c8a8383559567ce7602a3ac8b6fc4629aecb42390"
+
+# sha256 of `verify --identity all` stdout before the series layer's sparse
+# power recurrence, triangular compose and grown Catalan powers: the
+# benchmark's argv (--max-n 14 --format json) and --max-n 20 text
+ALL_MAX_N_14_JSON_SHA256 = "ae7c0b8f02b3f233f0bd71f7aa0d4c668d456555cf3ccede55fa27e5a23a020b"
+ALL_MAX_N_20_TEXT_SHA256 = "985759b07ed5c7a55eb360d3ba4066abcaf695a68407404e215108079de273f6"
 
 # sha256 of stdout before the one-pass certifier and the streamed `enumerate`
 INVOLUTION_PAIRS_SHA256 = {
@@ -132,6 +141,20 @@ class TestVerify:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == ALL_MAX_N_6_JSON_SHA256
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--max-n", "14", "--format", "json"), ALL_MAX_N_14_JSON_SHA256),
+            (("--max-n", "20"), ALL_MAX_N_20_TEXT_SHA256),
+        ],
+        ids=["14-json", "20-text"],
+    )
+    def test_series_sizes_output_is_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, "verify", "--identity", "all", *argv)
+        assert code == EXIT_OK
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_all_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--identity", "all", "--max-n", "3")
         assert code == EXIT_OK
@@ -161,6 +184,48 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--identity", "parity", "--max-n", max_n)
         assert code == EXIT_OK
         assert out.splitlines()[-1].startswith(f"parity n={max_n} ")
+
+
+@pytest.fixture
+def wrong_narayana_poly(monkeypatch):
+    """N_3(q) gets one more q^2 (3 -> 4) everywhere, behind a cleared
+    narayana_poly cache; the real one and a clean cache come back after."""
+    real = sequences.narayana_number
+    monkeypatch.setattr(
+        sequences, "narayana_number",
+        lambda n, k: real(n, k) + (n == 3 and k == 2),
+    )
+    sequences.narayana_poly.cache_clear()
+    yield
+    monkeypatch.undo()
+    sequences.narayana_poly.cache_clear()
+
+
+class TestMismatchLocation:
+    """A failed check names its first differing coefficient on stderr;
+    stdout keeps its one record per result."""
+
+    @pytest.mark.parametrize(
+        "identity, where",
+        [
+            ("new_expansion_c1", "new_expansion_c1 n=3 first differs at degree 2: lhs=4 rhs=3"),
+            ("omega_closed_form",
+             "omega_closed_form n=4 first differs at x^3 degree 2: lhs=3 rhs=4"),
+            ("parity", "parity n=3 first differs at lhs=2 rhs=1"),
+        ],
+        ids=["polynomial", "series", "scalar"],
+    )
+    def test_first_difference_on_stderr(self, capsys, wrong_narayana_poly, identity, where):
+        code, out, err = run(capsys, "verify", "--identity", identity, "--max-n", "4")
+        assert code == EXIT_MISMATCH
+        assert err == f"verify: {where}\n"
+        records = out.splitlines()
+        assert sum(line.endswith(" MISMATCH") for line in records) == 1
+
+    def test_no_stderr_when_equal(self, capsys):
+        code, _, err = run(capsys, "verify", "--identity", "omega_closed_form", "--max-n", "4")
+        assert code == EXIT_OK
+        assert err == ""
 
 
 class TestTable:
@@ -206,6 +271,30 @@ class TestTable:
     def test_unknown_sequence_rejected(self, capsys):
         code, _, err = run(capsys, "table", "--sequence", "motzkin", "--max-n", "3")
         assert code == EXIT_USAGE
+
+
+    @pytest.mark.parametrize("max_n", [str(TABLE_CAP + 1), "1000000000"])
+    def test_max_n_over_cap(self, capsys, monkeypatch, max_n):
+        monkeypatch.delenv("NARAYANA_CAP", raising=False)
+        code, out, err = run(capsys, "table", "--sequence", "catalan", "--max-n", max_n)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"table: --max-n: n={max_n} exceeds cap {TABLE_CAP} "
+            "(set NARAYANA_CAP to raise it)\n"
+        )
+
+    @pytest.mark.parametrize("cap, max_n", [(None, TABLE_CAP), (str(TABLE_CAP + 1), TABLE_CAP + 1)])
+    def test_max_n_within_cap(self, capsys, monkeypatch, cap, max_n):
+        if cap is None:
+            monkeypatch.delenv("NARAYANA_CAP", raising=False)
+        else:
+            monkeypatch.setenv("NARAYANA_CAP", cap)
+        code, out, _ = run(capsys, "table", "--sequence", "catalan", "--max-n", str(max_n))
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == max_n + 1
+        assert lines[-1].startswith(f"{max_n},")
 
 
 class TestInvolution:
@@ -329,3 +418,48 @@ class TestErrorContract:
         assert got == code
         assert out == ""
         assert err == f"error: {exc}\n"
+
+
+class TestBenchContract:
+    """bench/layers.py wraps and reads these names; a refactor that drops one
+    breaks `bench/run.py --trace 1` without failing any other test."""
+
+    def test_wrapped_and_read_attributes_exist(self):
+        for cls, attrs in (
+            (exact_core.QPolynomial, ("__init__", "__add__", "__radd__", "__mul__",
+                                      "__rmul__", "__pow__", "substitute", "__call__")),
+            (exact_core.PolySeries, ("__mul__", "__rmul__", "compose", "sqrt", "reciprocal")),
+        ):
+            for attr in attrs:
+                assert callable(vars(cls).get(attr)), f"{cls.__name__}.{attr}"
+        assert callable(exact_core.finite_difference_check)
+        for attr in ("omega_closed_form_check", "omega_composition_check",
+                     "legendre_gf_check", "lagrange_coefficient_check"):
+            assert callable(getattr(series, attr)), attr
+        assert type(series._catalan_power_cache) is dict
+        for attr in ("check_identity", "integral_representation_check",
+                     "lemma_difference_argument", "legendre_inverse", "binomial_inverse",
+                     "left_inversion_forward", "left_inversion"):
+            assert callable(getattr(identities, attr)), attr
+        for cached in (sequences.narayana_poly, sequences.legendre_poly, combinat._dyck_paths,
+                       combinat._children_seqs, combinat._tree_shapes,
+                       combinat._complete_binary_shapes):
+            assert cached.cache_info() is not None
+
+    def test_traced_cli_pass_reports_the_series_layer(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, str(root / "bench" / "worker.py"), "cli", "1",
+             "verify", "--identity", "all", "--max-n", "3"],
+            cwd=root, env={"PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        report = json.loads(proc.stderr.split("bench-report ", 1)[1])
+        assert report["failures"] == []
+        metrics = report["metrics"]
+        for name in ("exact_core.series_mul.self_s", "exact_core.series_compose.self_s",
+                     "exact_core.series_sqrt.self_s", "exact_core.series_reciprocal.self_s",
+                     "series.legendre_gf.s", "series.lagrange.s",
+                     "series.catalan_power_cache.entries"):
+            assert metrics[name] > 0, name

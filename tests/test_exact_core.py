@@ -272,3 +272,178 @@ class TestCoefficientStorage:
                     assert_canonical(side)
                 else:
                     assert isinstance(side, (int, Fraction)), repr(side)
+
+
+# -- the series methods before the power recurrence and the triangular
+#    compose, kept as references: dense sums, Horner, one QPolynomial per
+#    partial sum
+
+
+def _reference_mul(a, b):
+    n = a.order
+    out = [QPolynomial.zero() for _ in range(n + 1)]
+    for i, x in enumerate(a.coeffs):
+        if x.is_zero:
+            continue
+        for j in range(n + 1 - i):
+            y = b.coeffs[j]
+            if not y.is_zero:
+                out[i + j] = out[i + j] + x * y
+    return PolySeries(out, n)
+
+
+def _reference_reciprocal(s):
+    c0 = s.coeffs[0]
+    if not c0.is_constant or c0.is_zero:
+        raise SeriesPreconditionError(
+            f"reciprocal needs a nonzero constant leading coefficient, got {c0!r}"
+        )
+    inv0 = Fraction(1) / c0.constant_value()
+    out = [QPolynomial.constant(inv0)]
+    for n in range(1, s.order + 1):
+        acc = QPolynomial.zero()
+        for i in range(1, n + 1):
+            acc = acc + s.coeffs[i] * out[n - i]
+        out.append(acc * (-inv0))
+    return PolySeries(out, s.order)
+
+
+def _reference_sqrt(s):
+    c0 = s.coeffs[0]
+    if c0 != QPolynomial.one():
+        raise SeriesPreconditionError(f"sqrt needs constant coefficient 1, got {c0!r}")
+    out = [QPolynomial.one()]
+    for n in range(1, s.order + 1):
+        acc = s.coeffs[n]
+        for i in range(1, n):
+            acc = acc - out[i] * out[n - i]
+        out.append(acc * Fraction(1, 2))
+    return PolySeries(out, s.order)
+
+
+def _reference_power(s, e):
+    result = PolySeries.one(s.order)
+    for _ in range(e):
+        result = _reference_mul(result, s)
+    return result
+
+
+def _reference_compose(outer, inner):
+    if outer.order != inner.order:
+        raise SeriesPreconditionError(
+            f"truncation orders differ: {outer.order} vs {inner.order}"
+        )
+    if not inner.coeffs[0].is_zero:
+        raise SeriesPreconditionError(
+            f"composition needs zero inner constant term, got {inner.coeffs[0]!r}"
+        )
+    result = PolySeries.zero(outer.order)
+    for c in reversed(outer.coeffs):
+        result = _reference_mul(result, inner) + c
+    return result
+
+
+small_rationals = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6),
+)
+
+
+@st.composite
+def series_cases(draw, order=None, var=None, sparse=None):
+    """A PolySeries with 0..3-degree coefficients; sparse ones are mostly zero."""
+    order = draw(st.integers(0, 12)) if order is None else order
+    var = draw(st.sampled_from("qx")) if var is None else var
+    sparse = draw(st.booleans()) if sparse is None else sparse
+    coefficient = st.lists(small_rationals, max_size=4)
+    if sparse:
+        coefficient = st.one_of(st.just([]), st.just([]), st.just([]), coefficient)
+    cs = draw(st.lists(coefficient, min_size=order + 1, max_size=order + 1))
+    return PolySeries([QPolynomial(c, var) for c in cs], order)
+
+
+def _with_constant(s, c0):
+    return PolySeries((QPolynomial.constant(c0),) + s.coeffs[1:], s.order)
+
+
+def assert_same(got, expected):
+    assert got == expected
+    assert_canonical(got)
+
+
+class TestSeriesAgainstReference:
+    """The sparse power recurrence, the triangular compose and the one-list
+    series product agree with the dense loops and Horner they replaced."""
+
+    @given(series_cases(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_mul(self, a, data):
+        b = data.draw(series_cases(order=a.order, var=a.coeffs[0].var))
+        assert_same(a * b, _reference_mul(a, b))
+
+    @given(series_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_sqrt(self, s):
+        s = _with_constant(s, 1)
+        assert_same(s.sqrt(), _reference_sqrt(s))
+
+    @given(series_cases(), small_rationals.filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_reciprocal(self, s, c0):
+        s = _with_constant(s, c0)
+        assert_same(s.reciprocal(), _reference_reciprocal(s))
+
+    @given(series_cases(), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_compose(self, outer, scalar_outer, data):
+        var = outer.coeffs[0].var
+        if scalar_outer:  # as in the Narayana compositions: C(x) of a series in q
+            outer = PolySeries([c.coefficient(0) for c in outer.coeffs], outer.order)
+            var = data.draw(st.sampled_from("qx"))
+        inner = _with_constant(data.draw(series_cases(order=outer.order, var=var)), 0)
+        assert_same(outer.compose(inner), _reference_compose(outer, inner))
+
+    @given(series_cases(order=6), st.sampled_from(
+        [Fraction(-1, 2), Fraction(3, 2), Fraction(-2), Fraction(3), Fraction(-1, 3)]
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_power(self, s, alpha):
+        # y = s^(a/b) satisfies y^b == s^a
+        s = _with_constant(s, 1)
+        y = s._power(alpha)
+        assert_canonical(y)
+        a, b = alpha.numerator, alpha.denominator
+        expected = _reference_power(s, abs(a))
+        if a < 0:
+            expected = _reference_reciprocal(expected)
+        assert _reference_power(y, b) == expected
+
+    def test_inverse_sqrt_is_reciprocal_of_sqrt(self):
+        radicand = PolySeries([1, QPolynomial((0, -2), "x"), 1], 12)
+        assert_same(
+            radicand._power(Fraction(-1, 2)), _reference_reciprocal(_reference_sqrt(radicand))
+        )
+
+    @pytest.mark.parametrize(
+        "method, series, args",
+        [
+            ("sqrt", PolySeries([4, 1], 5), ()),
+            ("sqrt", PolySeries([QPolynomial((1, 1), "q"), 1], 5), ()),
+            ("sqrt", PolySeries([0, 1], 5), ()),
+            ("reciprocal", PolySeries([0, 1], 5), ()),
+            ("reciprocal", PolySeries([QPolynomial((1, 1), "q"), 1], 5), ()),
+            ("compose", PolySeries([1, 1], 5), (PolySeries([1, 1], 5),)),
+            ("compose", PolySeries([1, 1], 5), (PolySeries([0, 1], 4),)),
+        ],
+    )
+    def test_precondition_errors_unchanged(self, method, series, args):
+        reference = {
+            "sqrt": _reference_sqrt,
+            "reciprocal": _reference_reciprocal,
+            "compose": _reference_compose,
+        }[method]
+        with pytest.raises(SeriesPreconditionError) as expected:
+            reference(series, *args)
+        with pytest.raises(SeriesPreconditionError) as got:
+            getattr(series, method)(*args)
+        assert str(got.value) == str(expected.value)

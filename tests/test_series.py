@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from narayana import sequences, series
 from narayana.exact_core import PolySeries, QPolynomial
 from narayana.sequences import catalan, narayana_poly
 from narayana.series import (
+    _catalan_power,
     catalan_series,
     lagrange_coefficient_check,
     legendre_gf_check,
@@ -19,6 +23,9 @@ class TestCatalanSeries:
         c = catalan_series(12)
         for n in range(13):
             assert c.coefficient(n) == QPolynomial.constant(catalan(n), "q")
+
+    def test_coefficients_are_stored_as_int(self):
+        assert all(type(p.coeffs[0]) is int for p in catalan_series(12).coeffs)
 
     @given(st.integers(1, 40))
     @settings(max_examples=15, deadline=None)
@@ -66,3 +73,110 @@ class TestLegendreGF:
     def test_small_orders(self):
         for order in (0, 1, 2, 5):
             assert legendre_gf_check(order).equal
+
+
+def _reference_catalan_power(exponent, order, cache):
+    """C(x)^exponent as a PolySeries, cached per (exponent, order) pair."""
+    key = (exponent, order)
+    if key not in cache:
+        if exponent == 0:
+            cache[key] = PolySeries.one(order)
+        elif exponent <= 2:
+            c = catalan_series(order)
+            cache[(1, order)] = c
+            cache[(2, order)] = c * c
+        else:
+            cache[key] = _reference_catalan_power(exponent - 2, order, cache) * (
+                _reference_catalan_power(2, order, cache)
+            )
+    return cache[key]
+
+
+class TestCatalanPowers:
+    """C^(2k+1) grown once per exponent, in int, agrees with the series
+    products it replaced whatever order the requests come in."""
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_pair_keyed_products(self, requests):
+        cache, reference = {}, {}
+        original = series._catalan_power_cache
+        series._catalan_power_cache = cache
+        try:
+            for k, order in requests:
+                got = _catalan_power(2 * k + 1, order)
+                expected = _reference_catalan_power(2 * k + 1, order, reference)
+                assert [type(c) for c in got] == [int] * (order + 1)
+                assert got == [p.constant_value() for p in expected.coeffs]
+            # grown to the largest order asked of it, never rebuilt per order
+            longest = {}
+            for k, order in requests:
+                for e in range(3, 2 * k + 2, 2):
+                    longest[e] = max(longest.get(e, 0), order + 1)
+            assert {e: len(cs) for e, cs in cache.items() if e > 1} == longest
+        finally:
+            series._catalan_power_cache = original
+
+    def test_cache_is_keyed_by_exponent(self, monkeypatch):
+        monkeypatch.setattr(series, "_catalan_power_cache", {})
+        for n in range(9):
+            for k in range(n + 1):
+                assert lagrange_coefficient_check(n, k).equal
+        assert sorted(series._catalan_power_cache) == list(range(1, 18, 2))
+
+
+def _five_series_checks(order):
+    yield omega_closed_form_check(order)
+    yield omega_composition_check("first", order)
+    yield omega_composition_check("second", order)
+    yield legendre_gf_check(order)
+    for n in range(order + 1):
+        for k in range(n + 1):
+            yield lagrange_coefficient_check(n, k)
+
+
+class TestSeriesCost:
+    def test_products_at_order_30(self, monkeypatch):
+        # The dense sqrt/reciprocal loops, Horner compose and pair-keyed
+        # Catalan powers made 76,306 QPolynomial products for these checks
+        # at order 30, from cold caches; allow at most a third of that.
+        monkeypatch.setattr(series, "_catalan_power_cache", {})
+        sequences.narayana_poly.cache_clear()
+        sequences.legendre_poly.cache_clear()
+        calls = [0]
+        real = vars(QPolynomial)["__mul__"]
+
+        def counted(self, other):
+            calls[0] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(QPolynomial, "__mul__", counted)
+        monkeypatch.setattr(QPolynomial, "__rmul__", counted)
+        assert all(r.equal for r in _five_series_checks(30))
+        assert calls[0] <= 76306 // 3, calls[0]
+
+
+class TestSidesAreIndependent:
+    """Each series check's left side never calls narayana_poly, legendre_poly
+    or binomial, so a wrong value from one of them makes the check fail."""
+
+    @pytest.mark.parametrize(
+        "attr, mutant, check",
+        [
+            ("narayana_poly", lambda real: lambda n: real(n) + (1 if n == 4 else 0),
+             lambda: omega_closed_form_check(6)),
+            ("narayana_poly", lambda real: lambda n: real(n) + (1 if n == 4 else 0),
+             lambda: omega_composition_check("first", 6)),
+            ("narayana_poly", lambda real: lambda n: real(n) + (1 if n == 4 else 0),
+             lambda: omega_composition_check("second", 6)),
+            ("legendre_poly", lambda real: lambda n, form: real(n, form) + (1 if n == 4 else 0),
+             lambda: legendre_gf_check(6)),
+            ("binomial", lambda real: lambda n, k: real(n, k) + (1 if n == 15 else 0),
+             lambda: lagrange_coefficient_check(7, 2)),
+        ],
+        ids=["closed-form", "first", "second", "legendre-gf", "lagrange"],
+    )
+    def test_wrong_right_side_fails(self, monkeypatch, attr, mutant, check):
+        assert check().equal
+        monkeypatch.setattr(series, attr, mutant(getattr(series, attr)))
+        assert not check().equal

@@ -514,19 +514,32 @@ def psi(t, family: str):
 
 
 def _toggle_first_unit_unary(t):
-    """Flip the first pre-order non-root unary vertex weighted 1 or -1."""
+    """Flip the first pre-order non-root unary vertex weighted 1 or -1.
 
-    def walk(node, is_root: bool):
-        tag, children = node
-        if not is_root and len(children) == 1 and tag in ("1", "m1"):
-            return (("m1" if tag == "1" else "1"), children)
-        for i, child in enumerate(children):
-            new_child = walk(child, False)
-            if new_child is not None:
-                return (tag, children[:i] + (new_child,) + children[i + 1 :])
-        return None
-
-    return walk(t, True)
+    One pre-order scan that keeps only the (tag, children, index) of each
+    ancestor on the current path, so only that path is rebuilt."""
+    path = []
+    tag, children = t
+    i = 0
+    while True:
+        if i == len(children):
+            if not path:
+                return None
+            tag, children, i = path.pop()
+            i += 1
+            continue
+        child_tag, grandchildren = children[i]
+        if len(grandchildren) == 1 and child_tag in ("1", "m1"):
+            node = ("m1" if child_tag == "1" else "1", grandchildren)
+            path.append((tag, children, i))
+            for tag, children, i in reversed(path):
+                node = (tag, children[:i] + (node,) + children[i + 1 :])
+            return node
+        if grandchildren:
+            path.append((tag, children, i))
+            tag, children, i = child_tag, grandchildren, 0
+        else:
+            i += 1
 
 
 def _is_complete(t, transparent) -> bool:

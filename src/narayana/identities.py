@@ -4,6 +4,12 @@ sides, plus the Legendre, left-inversion, and binomial inverse relations.
 Each identity's two sides are computed through deliberately disjoint helper
 paths (e.g. Catalan via the closed binomial formula on one side and via the
 convolution recurrence on the other) so a shared bug cannot self-certify.
+
+Most sides are sums sum_k a_k(q) B(q)^(m-k) with B one of 1 +- q, q - 1,
+q(1 + q) or +-(1 +- q)^2.  Each is evaluated by Horner's rule in B
+(Knuth, TAOCP vol. 2, 4.6.4): acc = acc * B + a_k, highest power of B first,
+so a term costs one product by the 2-3-term B instead of a fresh power of B.
+Bare monomials c q^j are built directly, never as powers of q.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exact_core import IndeterminateMismatchError, QPolynomial, binomial
 from .sequences import (
@@ -24,11 +30,14 @@ from .sequences import (
     pell,
 )
 
-_Q = QPolynomial((0, 1), "q")
-_X = QPolynomial((0, 1), "x")
 _ONE_MINUS_Q = QPolynomial((1, -1), "q")
 _ONE_PLUS_Q = QPolynomial((1, 1), "q")
 _Q_MINUS_ONE = QPolynomial((-1, 1), "q")
+_MINUS_ONE_MINUS_Q = QPolynomial((-1, -1), "q")  # -(1+q)
+_ONE_PLUS_Q_SQUARED = QPolynomial((1, 2, 1), "q")  # (1+q)^2
+_MINUS_ONE_MINUS_Q_SQUARED = QPolynomial((-1, 2, -1), "q")  # -(1-q)^2
+_Q_ONE_PLUS_Q = QPolynomial((0, 1, 1), "q")  # q(1+q)
+_ONE_PLUS_X = QPolynomial((1, 1), "x")
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,15 @@ def _result(identity: str, n: int, lhs, rhs) -> CheckResult:
     return CheckResult(identity, n, lhs, rhs, lhs == rhs)
 
 
+def _horner(base: QPolynomial, terms: Iterable) -> QPolynomial:
+    """sum_k a_k base^(m-k) for the terms a_0, ..., a_m (scalars or
+    polynomials), by Horner's rule: one product by base per term."""
+    acc = QPolynomial.zero(base.var)
+    for a in terms:
+        acc = acc * base + a
+    return acc
+
+
 _catalan_memo = [Fraction(1)]
 
 
@@ -57,83 +75,80 @@ def _catalan_rec(n: int) -> Fraction:
     return _catalan_memo[n]
 
 
-def _narayana_direct(n: int, power_of_q) -> QPolynomial:
-    """Narayana-style sum built straight from binomials, bypassing narayana_poly."""
-    total = QPolynomial.zero("q")
-    for k in range(1, n + 1):
-        c = Fraction(binomial(n, k - 1) * binomial(n, k), n)
-        total = total + c * power_of_q(k)
-    return total
+def _narayana_direct(n: int) -> list:
+    """N_{n,1}, ..., N_{n,n} straight from binomials, bypassing narayana_poly."""
+    return [Fraction(binomial(n, k - 1) * binomial(n, k), n) for k in range(1, n + 1)]
 
 
 # -- the individual identities ------------------------------------------------
 
 
 def _coker_a1(n: int):
-    lhs = _narayana_direct(n, lambda k: _Q ** (k - 1))
-    rhs = QPolynomial.zero("q")
-    for k in range((n - 1) // 2 + 1):
-        rhs = rhs + binomial(n - 1, 2 * k) * catalan(k) * _Q**k * _ONE_PLUS_Q ** (
-            n - 2 * k - 1
-        )
-    return lhs, rhs
+    lhs = QPolynomial(_narayana_direct(n), "q")
+    # sum_k a_k q^k (1+q)^(n-1-2k), with (1+q)^((n-1) mod 2) factored out
+    rhs = _horner(_ONE_PLUS_Q_SQUARED, (
+        QPolynomial.monomial(binomial(n - 1, 2 * k) * catalan(k), k, "q")
+        for k in range((n - 1) // 2 + 1)
+    ))
+    return lhs, rhs * _ONE_PLUS_Q if (n - 1) % 2 else rhs
 
 
 def _coker_b1(n: int):
-    lhs = _narayana_direct(
-        n, lambda k: _Q ** (2 * (k - 1)) * _ONE_PLUS_Q ** (2 * (n - k))
-    )
-    rhs = QPolynomial.zero("q")
-    for k in range(n):
-        rhs = rhs + binomial(n - 1, k) * catalan(k + 1) * _Q**k * _ONE_PLUS_Q**k
+    # sum_k N_{n,k} q^(2(k-1)) ((1+q)^2)^(n-k)
+    lhs = _horner(_ONE_PLUS_Q_SQUARED, (
+        QPolynomial.monomial(c, 2 * i, "q") for i, c in enumerate(_narayana_direct(n))
+    ))
+    rhs = _horner(_Q_ONE_PLUS_Q, (
+        binomial(n - 1, k) * catalan(k + 1) for k in range(n - 1, -1, -1)
+    ))
     return lhs, rhs
 
 
 def _new_expansion_c1(n: int):
     lhs = narayana_poly(n)
-    rhs = QPolynomial.zero("q")
-    for k in range(n + 1):
-        rhs = rhs + binomial(n + 1, k) * binomial(2 * n - k, n) * _Q_MINUS_ONE**k
+    rhs = _horner(_Q_MINUS_ONE, (
+        binomial(n + 1, k) * binomial(2 * n - k, n) for k in range(n, -1, -1)
+    ))
     return lhs, rhs * Fraction(1, n + 1)
 
 
 def _equivalent_b2(n: int):
     lhs = narayana_poly(n)
-    rhs = QPolynomial.zero("q")
-    for k in range(n + 1):
-        c = Fraction(binomial(n + k, n - k) * binomial(2 * k, k), k + 1)
-        rhs = rhs + c * _Q_MINUS_ONE ** (n - k)
+    rhs = _horner(_Q_MINUS_ONE, (
+        Fraction(binomial(n + k, n - k) * binomial(2 * k, k), k + 1) for k in range(n + 1)
+    ))
     return lhs, rhs
 
 
 def _main_37(n: int):
     lhs = QPolynomial.constant(_catalan_rec(n), "q")
-    rhs = QPolynomial.zero("q")
-    for k in range(n + 1):
-        c = Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
-        rhs = rhs + c * narayana_poly(k) * _ONE_MINUS_Q ** (n - k)
+    rhs = _horner(_ONE_MINUS_Q, (
+        Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1) * narayana_poly(k)
+        for k in range(n + 1)
+    ))
     return lhs, rhs
 
 
 def _main_38(n: int):
-    lhs = catalan_half(n) * _Q ** (n // 2 + 1) if n % 2 == 0 else QPolynomial.zero("q")
-    rhs = QPolynomial.zero("q")
-    for k in range(n + 1):
-        term = binomial(n, k) * narayana_poly(k + 1) * _ONE_PLUS_Q ** (n - k)
-        rhs = rhs + (-1) ** (n - k) * term
+    lhs = QPolynomial.monomial(catalan_half(n), n // 2 + 1, "q")  # zero for odd n
+    # sum_k binom(n, k) N_{k+1}(q) (-(1+q))^(n-k)
+    rhs = _horner(_MINUS_ONE_MINUS_Q, (
+        binomial(n, k) * narayana_poly(k + 1) for k in range(n + 1)
+    ))
     return lhs, rhs
 
 
-_Q_SQUARED = QPolynomial((0, 0, 1), "q")
+def _at_q_squared(p: QPolynomial) -> QPolynomial:
+    """p(q^2), by spreading p's coefficients over the even degrees."""
+    return QPolynomial([c for a in p.coeffs for c in (a, 0)], p.var)
 
 
 def _main_39(n: int):
-    lhs = catalan(n + 1) * _Q ** (n + 2)
-    rhs = QPolynomial.zero("q")
-    for k in range(n + 1):
-        nk1 = narayana_poly(k + 1).substitute(_Q_SQUARED)
-        term = binomial(n, k) * nk1 * _ONE_MINUS_Q ** (2 * (n - k))
-        rhs = rhs + (-1) ** (n - k) * term
+    lhs = QPolynomial.monomial(catalan(n + 1), n + 2, "q")
+    # sum_k binom(n, k) N_{k+1}(q^2) (-(1-q)^2)^(n-k)
+    rhs = _horner(_MINUS_ONE_MINUS_Q_SQUARED, (
+        binomial(n, k) * _at_q_squared(narayana_poly(k + 1)) for k in range(n + 1)
+    ))
     return lhs, rhs
 
 
@@ -148,14 +163,9 @@ def _parity(n: int):
 
 
 def _simons_aa(n: int):
-    one_plus_x = QPolynomial((1, 1), "x")
-    lhs = QPolynomial.zero("x")
-    rhs = QPolynomial.zero("x")
-    for k in range(n + 1):
-        c = binomial(n + k, n - k) * binomial(2 * k, k)
-        lhs = lhs + (-1) ** (n - k) * c * one_plus_x**k
-        rhs = rhs + c * _X**k
-    return lhs, rhs
+    cs = [binomial(n + k, n - k) * binomial(2 * k, k) for k in range(n + 1)]
+    lhs = _horner(_ONE_PLUS_X, ((-1) ** (n - k) * cs[k] for k in range(n, -1, -1)))
+    return lhs, QPolynomial(cs, "x")
 
 
 def _legendre_reflection(n: int):
@@ -166,14 +176,11 @@ def _legendre_reflection(n: int):
 
 
 def f_poly(n: int) -> QPolynomial:
-    """f_n(q) = sum_{k=0}^{2n+1} (-1)^k binom(2n+1,k) N_{k+1}(q) (1+q)^{2n+1-k}."""
-    total = QPolynomial.zero("q")
-    for k in range(2 * n + 2):
-        term = binomial(2 * n + 1, k) * narayana_poly(k + 1) * _ONE_PLUS_Q ** (
-            2 * n + 1 - k
-        )
-        total = total + (-1) ** k * term
-    return total
+    """f_n(q) = sum_{k=0}^{2n+1} (-1)^k binom(2n+1,k) N_{k+1}(q) (1+q)^{2n+1-k},
+    summed by Horner's rule in 1+q."""
+    return _horner(_ONE_PLUS_Q, (
+        (-1) ** k * binomial(2 * n + 1, k) * narayana_poly(k + 1) for k in range(2 * n + 2)
+    ))
 
 
 def _lemma_f_zero(n: int):
@@ -181,11 +188,10 @@ def _lemma_f_zero(n: int):
 
 
 def _catlan2(n: int):
-    lhs = catalan(n) * _Q ** (n + 1)
-    rhs = QPolynomial.zero("q")
-    for k in range(2 * n + 1):
-        term = binomial(2 * n, k) * narayana_poly(k + 1) * _ONE_PLUS_Q ** (2 * n - k)
-        rhs = rhs + (-1) ** k * term
+    lhs = QPolynomial.monomial(catalan(n), n + 1, "q")
+    rhs = _horner(_ONE_PLUS_Q, (
+        (-1) ** k * binomial(2 * n, k) * narayana_poly(k + 1) for k in range(2 * n + 1)
+    ))
     return lhs, rhs
 
 
@@ -333,14 +339,15 @@ def integral_representation_check(n: int) -> CheckResult:
 
     With A(t) the antiderivative of P_n(2x-1), the substitution t = q/(q-1)
     against the (q-1)^{n+1} prefactor turns each monomial a_j t^j into
-    a_j q^j (q-1)^{n+1-j}, so the whole check stays polynomial.
+    a_j q^j (q-1)^{n+1-j}, so the whole check stays polynomial; A has degree
+    n + 1, and the sum over j = 1..n+1 is taken by Horner's rule in q - 1.
     """
     if n < 1:
         raise ValueError(f"integral representation is stated for n >= 1, got {n}")
     anti = legendre_poly(n, "shifted").antiderivative()
-    value = QPolynomial.zero("q")
-    for j in range(1, anti.degree + 1):
-        value = value + anti.coefficient(j) * _Q**j * _Q_MINUS_ONE ** (n + 1 - j)
+    value = _horner(_Q_MINUS_ONE, (
+        QPolynomial.monomial(anti.coefficient(j), j, "q") for j in range(1, n + 2)
+    ))
     return _result("integral_representation", n, narayana_poly(n), value)
 
 

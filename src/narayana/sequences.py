@@ -64,8 +64,9 @@ def legendre_poly(n: int, form: str = "standard") -> QPolynomial:
     """Legendre polynomial, exact over the rationals.
 
     form="standard": P_n(x) from the 2^{-n} alternating central-binomial sum.
-    form="shifted":  P_n(2x - 1) expanded in powers of (x - 1); by contract it
-    equals the standard form composed with 2x - 1.
+    form="shifted":  P_n(2x - 1) as sum_k binom(n+k, n-k) binom(2k, k) (x - 1)^k,
+    summed by Horner's rule in x - 1; by contract it equals the standard form
+    composed with 2x - 1.
     """
     if n < 0:
         raise ValueError(f"legendre_poly: negative index {n}")
@@ -79,9 +80,8 @@ def legendre_poly(n: int, form: str = "standard") -> QPolynomial:
     if form == "shifted":
         x_minus_1 = QPolynomial((-1, 1), "x")
         total = QPolynomial.zero("x")
-        for k in range(n + 1):
-            c = binomial(n + k, n - k) * binomial(2 * k, k)
-            total = total + c * x_minus_1**k
+        for k in range(n, -1, -1):
+            total = total * x_minus_1 + binomial(n + k, n - k) * binomial(2 * k, k)
         return total
     raise ValueError(f"legendre_poly: unknown form {form!r}")
 

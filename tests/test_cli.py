@@ -30,6 +30,9 @@ ALL_MAX_N_6_JSON_SHA256 = "44e89d1953ca58f1df99a13c8a8383559567ce7602a3ac8b6fc46
 # benchmark's argv (--max-n 14 --format json) and --max-n 20 text
 ALL_MAX_N_14_JSON_SHA256 = "ae7c0b8f02b3f233f0bd71f7aa0d4c668d456555cf3ccede55fa27e5a23a020b"
 ALL_MAX_N_20_TEXT_SHA256 = "985759b07ed5c7a55eb360d3ba4066abcaf695a68407404e215108079de273f6"
+# and of `verify --identity all --max-n 30` text before the identity sums were
+# evaluated by Horner's rule
+ALL_MAX_N_30_TEXT_SHA256 = "ed48553cc8b0725a94b2c672cf4e0fad7393961d2e0edceef6cb73079d3ac27d"
 
 # sha256 of stdout before the one-pass certifier and the streamed `enumerate`
 INVOLUTION_PAIRS_SHA256 = {
@@ -146,8 +149,9 @@ class TestVerify:
         [
             (("--max-n", "14", "--format", "json"), ALL_MAX_N_14_JSON_SHA256),
             (("--max-n", "20"), ALL_MAX_N_20_TEXT_SHA256),
+            (("--max-n", "30"), ALL_MAX_N_30_TEXT_SHA256),
         ],
-        ids=["14-json", "20-text"],
+        ids=["14-json", "20-text", "30-text"],
     )
     def test_series_sizes_output_is_pinned(self, capsys, argv, digest):
         code, out, err = run(capsys, "verify", "--identity", "all", *argv)

@@ -212,6 +212,40 @@ class TestInvolutions:
         assert report.certified
         assert len(calls) <= report.size + (report.size - report.fixed_count)
 
+    @pytest.mark.parametrize("family,top", [("P", 6), ("Q", 5)])
+    def test_psi_matches_recursive_toggle(self, family, top):
+        # the pre-order scan flips the same vertex as a recursive walk, so psi
+        # is unchanged on every moving tree
+        moving = 0
+        for n in range(top + 1):
+            for k in range(n + 1):
+                for t in getattr(cb, f"enumerate_family_{family}")(n, k):
+                    toggled = _reference_toggle(t)
+                    assert cb._toggle_first_unit_unary(t) == toggled
+                    if toggled is None and cb.is_fixed_tree(t, family):
+                        continue
+                    moving += 1
+                    expected = toggled if toggled is not None else cb._psi_rec(t, family)
+                    assert cb.psi(t, family) == expected
+        assert moving > 1000
+
+
+def _reference_toggle(t):
+    """Flip the first pre-order non-root unary vertex weighted 1 or -1, by a
+    recursive walk of the whole tree."""
+
+    def walk(node, is_root):
+        tag, children = node
+        if not is_root and len(children) == 1 and tag in ("1", "m1"):
+            return ("m1" if tag == "1" else "1", children)
+        for i, child in enumerate(children):
+            new_child = walk(child, False)
+            if new_child is not None:
+                return (tag, children[:i] + (new_child,) + children[i + 1 :])
+        return None
+
+    return walk(t, True)
+
 
 class TestSerialization:
     def test_path_round_readable(self):

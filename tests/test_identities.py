@@ -22,7 +22,7 @@ from narayana.identities import (
     legendre_inverse,
     lemma_difference_argument,
 )
-from narayana.sequences import catalan, narayana_poly
+from narayana.sequences import catalan, catalan_half, legendre_poly, narayana_poly
 
 rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=10
@@ -405,3 +405,271 @@ class TestInverseKernel:
             out = kernel(seq)
             assert counts["add"] == counts["mul"] == 0
             assert counts["new"] <= len(out) + len(seq)
+
+
+# -- the power-form sums that Horner's rule replaced: each term built with a
+# fresh power of its (1 +- q) factor and of q, as an independent reference ------
+
+_Q = QPolynomial((0, 1), "q")
+_X = QPolynomial((0, 1), "x")
+_ONE_MINUS_Q = QPolynomial((1, -1), "q")
+_ONE_PLUS_Q = QPolynomial((1, 1), "q")
+_Q_MINUS_ONE = QPolynomial((-1, 1), "q")
+_Q_SQUARED = QPolynomial((0, 0, 1), "q")
+
+
+def _reference_narayana_direct(n, power_of_q):
+    total = QPolynomial.zero("q")
+    for k in range(1, n + 1):
+        c = Fraction(binomial(n, k - 1) * binomial(n, k), n)
+        total = total + c * power_of_q(k)
+    return total
+
+
+def _reference_coker_a1(n):
+    lhs = _reference_narayana_direct(n, lambda k: _Q ** (k - 1))
+    rhs = QPolynomial.zero("q")
+    for k in range((n - 1) // 2 + 1):
+        rhs = rhs + binomial(n - 1, 2 * k) * catalan(k) * _Q**k * _ONE_PLUS_Q ** (n - 2 * k - 1)
+    return lhs, rhs
+
+
+def _reference_coker_b1(n):
+    lhs = _reference_narayana_direct(
+        n, lambda k: _Q ** (2 * (k - 1)) * _ONE_PLUS_Q ** (2 * (n - k))
+    )
+    rhs = QPolynomial.zero("q")
+    for k in range(n):
+        rhs = rhs + binomial(n - 1, k) * catalan(k + 1) * _Q**k * _ONE_PLUS_Q**k
+    return lhs, rhs
+
+
+def _reference_new_expansion_c1(n):
+    rhs = QPolynomial.zero("q")
+    for k in range(n + 1):
+        rhs = rhs + binomial(n + 1, k) * binomial(2 * n - k, n) * _Q_MINUS_ONE**k
+    return narayana_poly(n), rhs * Fraction(1, n + 1)
+
+
+def _reference_equivalent_b2(n):
+    rhs = QPolynomial.zero("q")
+    for k in range(n + 1):
+        c = Fraction(binomial(n + k, n - k) * binomial(2 * k, k), k + 1)
+        rhs = rhs + c * _Q_MINUS_ONE ** (n - k)
+    return narayana_poly(n), rhs
+
+
+def _reference_main_37(n):
+    rhs = QPolynomial.zero("q")
+    for k in range(n + 1):
+        c = Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
+        rhs = rhs + c * narayana_poly(k) * _ONE_MINUS_Q ** (n - k)
+    return QPolynomial.constant(identities._catalan_rec(n), "q"), rhs
+
+
+def _reference_main_38(n):
+    lhs = catalan_half(n) * _Q ** (n // 2 + 1) if n % 2 == 0 else QPolynomial.zero("q")
+    rhs = QPolynomial.zero("q")
+    for k in range(n + 1):
+        term = binomial(n, k) * narayana_poly(k + 1) * _ONE_PLUS_Q ** (n - k)
+        rhs = rhs + (-1) ** (n - k) * term
+    return lhs, rhs
+
+
+def _reference_main_39(n):
+    rhs = QPolynomial.zero("q")
+    for k in range(n + 1):
+        nk1 = narayana_poly(k + 1).substitute(_Q_SQUARED)
+        term = binomial(n, k) * nk1 * _ONE_MINUS_Q ** (2 * (n - k))
+        rhs = rhs + (-1) ** (n - k) * term
+    return catalan(n + 1) * _Q ** (n + 2), rhs
+
+
+def _reference_simons_aa(n):
+    one_plus_x = QPolynomial((1, 1), "x")
+    lhs = QPolynomial.zero("x")
+    rhs = QPolynomial.zero("x")
+    for k in range(n + 1):
+        c = binomial(n + k, n - k) * binomial(2 * k, k)
+        lhs = lhs + (-1) ** (n - k) * c * one_plus_x**k
+        rhs = rhs + c * _X**k
+    return lhs, rhs
+
+
+def _reference_f_poly(n):
+    total = QPolynomial.zero("q")
+    for k in range(2 * n + 2):
+        term = binomial(2 * n + 1, k) * narayana_poly(k + 1) * _ONE_PLUS_Q ** (2 * n + 1 - k)
+        total = total + (-1) ** k * term
+    return total
+
+
+def _reference_catlan2(n):
+    rhs = QPolynomial.zero("q")
+    for k in range(2 * n + 1):
+        term = binomial(2 * n, k) * narayana_poly(k + 1) * _ONE_PLUS_Q ** (2 * n - k)
+        rhs = rhs + (-1) ** k * term
+    return catalan(n) * _Q ** (n + 1), rhs
+
+
+def _reference_integral_representation(n):
+    anti = legendre_poly(n, "shifted").antiderivative()
+    value = QPolynomial.zero("q")
+    for j in range(1, anti.degree + 1):
+        value = value + anti.coefficient(j) * _Q**j * _Q_MINUS_ONE ** (n + 1 - j)
+    return narayana_poly(n), value
+
+
+def _reference_shifted_legendre(n):
+    x_minus_1 = QPolynomial((-1, 1), "x")
+    total = QPolynomial.zero("x")
+    for k in range(n + 1):
+        total = total + binomial(n + k, n - k) * binomial(2 * k, k) * x_minus_1**k
+    return total
+
+
+_REFERENCE_SIDES = {
+    "coker_a1": _reference_coker_a1,
+    "coker_b1": _reference_coker_b1,
+    "new_expansion_c1": _reference_new_expansion_c1,
+    "equivalent_b2": _reference_equivalent_b2,
+    "main_37": _reference_main_37,
+    "main_38": _reference_main_38,
+    "main_39": _reference_main_39,
+    "simons_aa": _reference_simons_aa,
+    "lemma_f_zero": lambda n: (_reference_f_poly(n), QPolynomial.zero("q")),
+    "catlan2": _reference_catlan2,
+}
+
+
+def _identical(got, want):
+    """Same indeterminate, same stored coefficients, each of the same type."""
+    return (
+        got.var == want.var
+        and got.coeffs == want.coeffs
+        and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    )
+
+
+class TestHornerSums:
+    @pytest.mark.parametrize("tag", sorted(_REFERENCE_SIDES))
+    def test_sides_match_power_form(self, tag):
+        for n in range(identity_min_n(tag), 13):
+            result = check_identity(tag, n)
+            want_lhs, want_rhs = _REFERENCE_SIDES[tag](n)
+            assert _identical(result.lhs, want_lhs), (tag, n, result.lhs, want_lhs)
+            assert _identical(result.rhs, want_rhs), (tag, n, result.rhs, want_rhs)
+
+    def test_integral_representation_matches_power_form(self):
+        for n in range(1, 13):
+            result = integral_representation_check(n)
+            want_lhs, want_rhs = _reference_integral_representation(n)
+            assert _identical(result.lhs, want_lhs) and _identical(result.rhs, want_rhs), n
+
+    def test_shifted_legendre_matches_power_form(self):
+        for n in range(13):
+            got = legendre_poly(n, "shifted")
+            assert _identical(got, _reference_shifted_legendre(n)), n
+            # and the contract: the standard form composed with 2x - 1
+            assert got == legendre_poly(n, "standard").substitute(QPolynomial((-1, 2), "x"))
+
+    def test_no_polynomial_powers(self, monkeypatch):
+        # every check sums by Horner's rule and builds monomials directly, so
+        # with the sequence caches warm no check raises a polynomial to a power
+        top = 10
+        for tag in IDENTITY_TAGS:
+            for n in range(identity_min_n(tag), top + 1):
+                check_identity(tag, n)
+        calls = Counter()
+        real = QPolynomial.__pow__
+
+        def counting(self, e):
+            calls[e] += 1
+            return real(self, e)
+
+        monkeypatch.setattr(QPolynomial, "__pow__", counting)
+        for tag in IDENTITY_TAGS:
+            for n in range(identity_min_n(tag), top + 1):
+                assert check_identity(tag, n).equal
+        for n in range(1, top + 1):
+            assert integral_representation_check(n).equal
+            legendre_poly.__wrapped__(n, "shifted")
+        assert calls == Counter()
+        # the counter is live: the power-form reference trips it
+        _reference_coker_a1(4)
+        assert calls
+
+
+# -- mutation audit: one helper of the identities module patched at a time -------
+
+_AUDIT_MAX_N = 8
+
+# helper -> mutant factory (given the real helper): one entry off by one each
+_MUTANTS = {
+    "narayana_poly": lambda real: lambda n: real(n) + (_Q if n == 5 else 0),
+    "binomial": lambda real: lambda n, k: real(n, k) + ((n, k) == (7, 3)),
+    "catalan": lambda real: lambda n: real(n) + (n == 4),
+    "_catalan_rec": lambda real: lambda n: real(n) + (n == 4),
+    "legendre_poly": lambda real: lambda n, form="standard": real(n, form) + (n == 3),
+    "catalan_half": lambda real: lambda n: real(n) + (n == 4),
+    "pell": lambda real: lambda n: real(n) + (n == 5),
+    "lucas": lambda real: lambda n: real(n) + (n == 5),
+    "fibonacci": lambda real: lambda n: real(n) + (n == 5),
+}
+
+# helper -> the checks that fail for some n <= 8 under its mutant; the same
+# sets as for the power-form sums, so the Horner evaluation catches no less
+_CAUGHT_BY = {
+    "narayana_poly": {
+        "app_fibonacci", "app_lucas", "app_pell_even", "app_pell_odd", "catlan2",
+        "equivalent_b2", "integral_representation", "lemma_f_zero", "main_37", "main_38",
+        "main_39", "new_expansion_c1", "parity",
+    },
+    "binomial": {
+        "alt_sum_310", "app_fibonacci", "app_pell_even", "app_qm1_39", "coker_a1", "coker_b1",
+        "equivalent_b2", "lemma_f_zero", "main_37", "main_38", "main_39", "new_expansion_c1",
+        "simons_aa",
+    },
+    "catalan": {
+        "app_fibonacci", "app_pell_even", "app_pow2", "app_q1_38", "app_qm1_39",
+        "app_touchard", "catlan2", "coker_b1", "main_39",
+    },
+    "_catalan_rec": {"app_q1_38", "app_qm1_39", "app_touchard", "main_37"},
+    "legendre_poly": {"integral_representation", "legendre_reflection"},
+    "catalan_half": {"main_38"},
+    "pell": {"app_pell_odd"},
+    "lucas": {"app_lucas"},
+    "fibonacci": {"app_fibonacci"},
+}
+
+
+def _failing_checks() -> set:
+    """The registered checks and the integral representation that fail for
+    some admissible n <= _AUDIT_MAX_N."""
+    runs = [
+        (tag, partial(check_identity, tag), range(identity_min_n(tag), _AUDIT_MAX_N + 1))
+        for tag in IDENTITY_TAGS
+    ]
+    runs.append(("integral_representation", integral_representation_check,
+                 range(1, _AUDIT_MAX_N + 1)))
+    return {name for name, check, ns in runs if not all(check(n).equal for n in ns)}
+
+
+class TestMutationAudit:
+    def test_unmutated_checks_all_pass(self):
+        assert _failing_checks() == set()
+
+    @pytest.mark.parametrize("helper", sorted(_MUTANTS))
+    def test_catch_set(self, monkeypatch, helper):
+        monkeypatch.setattr(identities, helper, _MUTANTS[helper](getattr(identities, helper)))
+        assert _failing_checks() == _CAUGHT_BY[helper]
+
+    def test_zero_f_poly_is_a_blind_spot(self, monkeypatch, narayana_mutant):
+        # lemma_f_zero compares f_poly with zero, so an f_poly that returns zero
+        # passes it whatever narayana_poly holds; lemma_difference_argument
+        # (criterion 9's second path) never calls f_poly and still fails
+        monkeypatch.setattr(identities, "f_poly", lambda n: QPolynomial.zero("q"))
+        narayana_mutant(5, lambda real, n, k: real(n, k) + (k == 2))
+        for n in range(2, _AUDIT_MAX_N + 1):
+            assert check_identity("lemma_f_zero", n).equal, n
+            assert not lemma_difference_argument(n), n

@@ -248,18 +248,8 @@ def _cmd_enumerate(args) -> int:
     try:
         if family == "dyck":
             lines = (p if p else "(empty)" for p in combinat.enumerate_dyck(n))
-        elif family == "D":
-            combinat._check_cap(n, combinat.FAMILY_D_CAP, "enumerate_family_D")
-            lines = (
-                combinat.serialize_path(combinat.flatten(e))
-                for k in ks for e in combinat.iter_family_D(n, k)
-            )
         else:
-            combinat._check_cap(n, combinat._FAMILY[family]["cap"], f"enumerate_family_{family}")
-            lines = (
-                combinat.serialize_tree(t)
-                for k in ks for t in combinat._iter_family_trees(n, k, family)
-            )
+            lines = combinat.serialized_family(family, n, ks)
     except combinat.EnumerationCapError as exc:
         print(f"enumerate: {exc}", file=sys.stderr)
         return EXIT_USAGE

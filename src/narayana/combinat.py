@@ -199,6 +199,11 @@ def family_D_closed_form(n: int, k: int) -> QPolynomial:
 # -- the involution on weighted Dyck paths --------------------------------------
 
 
+def _is_unweighted(p: WeightedDyckPath) -> bool:
+    """Every up-step weighs 1: the fixed set of phi."""
+    return not any(p.tags)
+
+
 def phi(p: WeightedDyckPath) -> WeightedDyckPath:
     """Sign-reversing involution on weighted Dyck paths with some +-q weight.
 
@@ -206,7 +211,7 @@ def phi(p: WeightedDyckPath) -> WeightedDyckPath:
     weight, flip the sign of the first up-step if it is weighted +-q,
     otherwise recurse into the component's interior.
     """
-    if all(t == 0 for t in p.tags):
+    if _is_unweighted(p):
         raise FixedElementError("phi is undefined on all-1-weighted paths")
     steps, tags = p.steps, list(p.tags)
     _phi_in_place(steps, tags, 0, len(steps), 0)
@@ -563,37 +568,25 @@ def _chase(t, transparent):
     return chain, t
 
 
-def _rightmost_attach(t, subtree, family: str):
-    """Attach `subtree` under the rightmost leaf, toggling its weight to -q."""
+def _rightmost_attach(t, subtree, neg: str):
+    """Attach `subtree` under the rightmost leaf, retagged `neg` (weight -q)."""
     tag, children = t
     if not children:
-        return (_FAMILY[family]["neg"], (subtree,))
-    new_last = _rightmost_attach(children[-1], subtree, family)
+        return (neg, (subtree,))
+    new_last = _rightmost_attach(children[-1], subtree, neg)
     return (tag, children[:-1] + (new_last,))
 
 
-def _rightmost_path_nodes(t) -> list:
-    """Nodes from the root of t down to its rightmost leaf, as index paths."""
-    paths = [()]
-    node = t
-    while node[1]:
-        paths.append(paths[-1] + (len(node[1]) - 1,))
-        node = node[1][-1]
-    return paths
-
-
-def _node_at(t, path):
-    for i in path:
-        t = t[1][i]
-    return t
-
-
-def _replace_at(t, path, new_node):
-    if not path:
-        return new_node
+def _rightmost_detach(t, neg: str, leaf: str):
+    """The inverse of _rightmost_attach: (t with the first `neg` vertex on its
+    rightmost path made a `leaf` leaf, that vertex's subtree), or None."""
     tag, children = t
-    i = path[0]
-    return (tag, children[:i] + (_replace_at(children[i], path[1:], new_node),) + children[i + 1 :])
+    if tag == neg:
+        return (leaf, ()), children[0]
+    found = _rightmost_detach(children[-1], neg, leaf) if children else None
+    if found is None:
+        return None
+    return (tag, children[:-1] + (found[0],)), found[1]
 
 
 def _psi_rec(t, family: str):
@@ -604,7 +597,7 @@ def _psi_rec(t, family: str):
     if len(children) >= 2:
         first = children[0]
         if _is_complete(first, transparent):
-            modified = _rightmost_attach(first, children[1], family)
+            modified = _rightmost_attach(first, children[1], neg)
             return (tag, (modified,) + children[2:])
         result = _psi_rec((tag, (first,)), family)
         return (result[0], result[1] + children[1:])
@@ -616,14 +609,9 @@ def _psi_rec(t, family: str):
         return (tag, (_chain(transparent, chain, inner),))
 
     # core has out-degree 1 or 2
-    for path in _rightmost_path_nodes(core):
-        node = _node_at(core, path)
-        if node[0] == neg:
-            detached = node[1][0]
-            remainder = _replace_at(core, path, (leaf, ()))
-            if _is_complete(remainder, transparent):
-                return (tag, (_chain(transparent, chain, remainder), detached))
-            break
+    found = _rightmost_detach(core, neg, leaf)
+    if found is not None and _is_complete(found[0], transparent):
+        return (tag, (_chain(transparent, chain, found[0]), found[1]))
 
     left, right = core[1]
     if not _is_complete(left, transparent):
@@ -730,38 +718,35 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
     )
 
 
+def _involution(family: str):
+    """The row of involution family D, P or Q: (cap, elements(n, k), is_fixed,
+    apply, key, serialize, expected_fixed(n)).  Built per call, so a module
+    attribute replaced since import is what runs."""
+    if family == "D":
+        return (
+            FAMILY_D_CAP, lambda n, k: map(flatten, iter_family_D(n, k)), _is_unweighted,
+            phi, _path_key, serialize_path,
+            lambda n: (WeightedDyckPath(p, (0,) * n) for p in _dyck_paths(n)),
+        )
+    if family not in _FAMILY:
+        raise ValueError(f"unknown family {family!r}")
+    return (
+        _FAMILY[family]["cap"], partial(_iter_family_trees, family=family),
+        partial(is_fixed_tree, family=family), partial(psi, family=family), _tree_key,
+        serialize_tree, fixed_set_P if family == "P" else fixed_set_Q,
+    )
+
+
 def involution_verify(family: str, n: int, collect_pairs: bool = False) -> InvolutionReport:
     """Run all five involution certificates over the full family at size n:
     multiset closure, elementwise self-inverse, weight reversal, fixed-set
     match, and total weight equal to the fixed-set weight."""
-    if family == "D":
-        _check_cap(n, FAMILY_D_CAP, "involution_verify(D)")
-        elements = (
-            flatten(e) for k in range(n + 1) for e in iter_family_D(n, k)
-        )
-        expected_fixed = (
-            WeightedDyckPath(p, (0,) * n) for p in _dyck_paths(n)
-        )
-        return _certify(
-            family, n, elements,
-            is_fixed=lambda p: all(t == 0 for t in p.tags),
-            apply=phi, key=_path_key, serialize=serialize_path,
-            expected_fixed=expected_fixed, collect_pairs=collect_pairs,
-        )
-    if family in ("P", "Q"):
-        _check_cap(n, _FAMILY[family]["cap"], f"involution_verify({family})")
-        elements = (
-            t for k in range(n + 1) for t in _iter_family_trees(n, k, family)
-        )
-        expected_fixed = fixed_set_P(n) if family == "P" else fixed_set_Q(n)
-        return _certify(
-            family, n, elements,
-            is_fixed=lambda t: is_fixed_tree(t, family),
-            apply=lambda t: psi(t, family), key=_tree_key,
-            serialize=serialize_tree,
-            expected_fixed=expected_fixed, collect_pairs=collect_pairs,
-        )
-    raise ValueError(f"unknown family {family!r}")
+    cap, elements, is_fixed, apply, key, serialize, expected_fixed = _involution(family)
+    _check_cap(n, cap, f"involution_verify({family})")
+    return _certify(
+        family, n, (e for k in range(n + 1) for e in elements(n, k)), is_fixed, apply, key,
+        serialize, expected_fixed(n), collect_pairs,
+    )
 
 
 def dbar_involution_check(n: int) -> InvolutionReport:
@@ -769,10 +754,14 @@ def dbar_involution_check(n: int) -> InvolutionReport:
     weight zero (the alternating Catalan-coefficient sum)."""
     if n < 1:
         raise ValueError("dbar_involution_check requires n >= 1")
-    elements = dbar_elements(n)
-    return _certify(
-        "Dbar", n, elements,
-        is_fixed=lambda p: all(t == 0 for t in p.tags),
-        apply=phi, key=_path_key, serialize=serialize_path,
-        expected_fixed=[],
-    )
+    _, _, is_fixed, apply, key, serialize, _ = _involution("D")
+    return _certify("Dbar", n, dbar_elements(n), is_fixed, apply, key, serialize, [])
+
+
+def serialized_family(family: str, n: int, ks) -> Iterator[str]:
+    """The serialisations of the elements of family D, P or Q at size n, for
+    each k of `ks` in turn.  The cap is checked on the call, before any
+    element is built; the elements are then produced one at a time."""
+    cap, elements, _, _, _, serialize, _ = _involution(family)
+    _check_cap(n, cap, f"enumerate_family_{family}")
+    return (serialize(e) for k in ks for e in elements(n, k))

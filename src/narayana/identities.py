@@ -10,6 +10,12 @@ q(1 + q) or +-(1 +- q)^2.  Each is evaluated by Horner's rule in B
 (Knuth, TAOCP vol. 2, 4.6.4): acc = acc * B + a_k, highest power of B first,
 so a term costs one product by the 2-3-term B instead of a fresh power of B.
 Bare monomials c q^j are built directly, never as powers of q.
+
+Two sums recur and each has one body:
+- `_alternating_sum(m)` = sum_k (-1)^k binom(m, k) N_{k+1}(q) (1+q)^(m-k) is
+  f_n (m = 2n+1), catlan2's rhs (m = 2n) and (-1)^n times (3.8)'s rhs (m = n);
+- `_app_recurrence` = sum_k (-1)^k binom(m, k) N_{k+1}(x0) G_j [2^j] is the
+  rhs of the four Pell/Lucas/Fibonacci applications, one registry row each.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .sequences import (
 _ONE_MINUS_Q = QPolynomial((1, -1), "q")
 _ONE_PLUS_Q = QPolynomial((1, 1), "q")
 _Q_MINUS_ONE = QPolynomial((-1, 1), "q")
-_MINUS_ONE_MINUS_Q = QPolynomial((-1, -1), "q")  # -(1+q)
 _ONE_PLUS_Q_SQUARED = QPolynomial((1, 2, 1), "q")  # (1+q)^2
 _MINUS_ONE_MINUS_Q_SQUARED = QPolynomial((-1, 2, -1), "q")  # -(1-q)^2
 _Q_ONE_PLUS_Q = QPolynomial((0, 1, 1), "q")  # q(1+q)
@@ -132,10 +137,7 @@ def _main_37(n: int):
 def _main_38(n: int):
     lhs = QPolynomial.monomial(catalan_half(n), n // 2 + 1, "q")  # zero for odd n
     # sum_k binom(n, k) N_{k+1}(q) (-(1+q))^(n-k)
-    rhs = _horner(_MINUS_ONE_MINUS_Q, (
-        binomial(n, k) * narayana_poly(k + 1) for k in range(n + 1)
-    ))
-    return lhs, rhs
+    return lhs, (-1) ** n * _alternating_sum(n)
 
 
 def _at_q_squared(p: QPolynomial) -> QPolynomial:
@@ -175,12 +177,17 @@ def _legendre_reflection(n: int):
     return lhs, rhs
 
 
-def f_poly(n: int) -> QPolynomial:
-    """f_n(q) = sum_{k=0}^{2n+1} (-1)^k binom(2n+1,k) N_{k+1}(q) (1+q)^{2n+1-k},
-    summed by Horner's rule in 1+q."""
+def _alternating_sum(m: int) -> QPolynomial:
+    """sum_{k=0}^{m} (-1)^k binom(m, k) N_{k+1}(q) (1+q)^{m-k}, summed by
+    Horner's rule in 1+q."""
     return _horner(_ONE_PLUS_Q, (
-        (-1) ** k * binomial(2 * n + 1, k) * narayana_poly(k + 1) for k in range(2 * n + 2)
+        (-1) ** k * binomial(m, k) * narayana_poly(k + 1) for k in range(m + 1)
     ))
+
+
+def f_poly(n: int) -> QPolynomial:
+    """f_n(q) = sum_{k=0}^{2n+1} (-1)^k binom(2n+1,k) N_{k+1}(q) (1+q)^{2n+1-k}."""
+    return _alternating_sum(2 * n + 1)
 
 
 def _lemma_f_zero(n: int):
@@ -188,11 +195,7 @@ def _lemma_f_zero(n: int):
 
 
 def _catlan2(n: int):
-    lhs = QPolynomial.monomial(catalan(n), n + 1, "q")
-    rhs = _horner(_ONE_PLUS_Q, (
-        (-1) ** k * binomial(2 * n, k) * narayana_poly(k + 1) for k in range(2 * n + 1)
-    ))
-    return lhs, rhs
+    return QPolynomial.monomial(catalan(n), n + 1, "q"), _alternating_sum(2 * n)
 
 
 def _alt_sum_310(n: int):
@@ -239,51 +242,16 @@ def _app_touchard(n: int):
     return lhs, Fraction(rhs)
 
 
-def _app_pell_odd(n: int):
-    lhs = 2 ** (n + 1) * catalan(2 * n + 1)
+def _app_recurrence(n: int, point: int, seq, shift: int, powers_of_two: bool):
+    """point^{n+1} C_{m+1} = sum_{k=0}^{m} (-1)^k binom(m, k) N_{k+1}(point) G_j [2^j]
+    with m = 2n + (shift > 0), j = 4n - 2k + shift and G = seq."""
+    m = 2 * n + (shift > 0)
+    lhs = point ** (n + 1) * catalan(m + 1)
     rhs = Fraction(0)
-    for k in range(2 * n + 1):
-        term = binomial(2 * n, k) * narayana_poly(k + 1)(2) * pell(4 * n - 2 * k - 1)
-        rhs += (-1) ** k * term
-    return lhs, rhs
-
-
-def _app_pell_even(n: int):
-    lhs = 2 ** (n + 1) * catalan(2 * n + 2)
-    rhs = Fraction(0)
-    for k in range(2 * n + 2):
-        term = (
-            binomial(2 * n + 1, k) * narayana_poly(k + 1)(2) * pell(4 * n - 2 * k + 2)
-        )
-        rhs += (-1) ** k * term
-    return lhs, rhs
-
-
-def _app_lucas(n: int):
-    lhs = Fraction(5) ** (n + 1) * catalan(2 * n + 1)
-    rhs = Fraction(0)
-    for k in range(2 * n + 1):
-        term = (
-            binomial(2 * n, k)
-            * narayana_poly(k + 1)(5)
-            * lucas(4 * n - 2 * k - 1)
-            * Fraction(2) ** (4 * n - 2 * k - 1)
-        )
-        rhs += (-1) ** k * term
-    return lhs, rhs
-
-
-def _app_fibonacci(n: int):
-    lhs = Fraction(5) ** (n + 1) * catalan(2 * n + 2)
-    rhs = Fraction(0)
-    for k in range(2 * n + 2):
-        term = (
-            binomial(2 * n + 1, k)
-            * narayana_poly(k + 1)(5)
-            * fibonacci(4 * n - 2 * k + 1)
-            * Fraction(2) ** (4 * n - 2 * k + 1)
-        )
-        rhs += (-1) ** k * term
+    for k in range(m + 1):
+        j = 4 * n - 2 * k + shift
+        term = binomial(m, k) * narayana_poly(k + 1)(point) * seq(j)
+        rhs += (-1) ** k * (term * Fraction(2) ** j if powers_of_two else term)
     return lhs, rhs
 
 
@@ -308,10 +276,12 @@ _REGISTRY = {
     "app_q1_38": (0, _app_q1_38),
     "app_qm1_39": (0, _app_qm1_39),
     "app_touchard": (0, _app_touchard),
-    "app_pell_odd": (0, _app_pell_odd),
-    "app_pell_even": (0, _app_pell_even),
-    "app_lucas": (0, _app_lucas),
-    "app_fibonacci": (0, _app_fibonacci),
+    # the rows name pell, lucas and fibonacci inside a lambda, so a replaced
+    # module attribute is what runs
+    "app_pell_odd": (0, lambda n: _app_recurrence(n, 2, pell, -1, False)),
+    "app_pell_even": (0, lambda n: _app_recurrence(n, 2, pell, 2, False)),
+    "app_lucas": (0, lambda n: _app_recurrence(n, 5, lucas, -1, True)),
+    "app_fibonacci": (0, lambda n: _app_recurrence(n, 5, fibonacci, 1, True)),
 }
 
 IDENTITY_TAGS = tuple(_REGISTRY)

@@ -16,6 +16,8 @@ _RECURRENCES = {
     "lucas": (2, 1, 1),
     "fibonacci": (0, 1, 1),
 }
+# name -> [G_{-1}, G_0, G_1, ...], grown in place on demand, never rebuilt
+_recurrence_values: dict = {}
 
 
 def catalan(n: int) -> Fraction:
@@ -98,11 +100,10 @@ def recurrence_seq(name: str, n: int) -> int:
     if n < -1:
         raise ValueError(f"recurrence_seq: index {n} below -1")
     prev, cur, mult = _RECURRENCES[name]
-    if n == -1:
-        return prev
-    for _ in range(n):
-        prev, cur = cur, mult * cur + prev
-    return cur
+    values = _recurrence_values.setdefault(name, [prev, cur])
+    while len(values) <= n + 1:
+        values.append(mult * values[-1] + values[-2])
+    return values[n + 1]
 
 
 def pell(n: int) -> int:

@@ -34,11 +34,15 @@ ALL_MAX_N_20_TEXT_SHA256 = "985759b07ed5c7a55eb360d3ba4066abcaf695a68407404e2151
 # evaluated by Horner's rule
 ALL_MAX_N_30_TEXT_SHA256 = "ed48553cc8b0725a94b2c672cf4e0fad7393961d2e0edceef6cb73079d3ac27d"
 
-# sha256 of stdout before the one-pass certifier and the streamed `enumerate`
+# sha256 of stdout before the one-pass certifier and the streamed `enumerate`;
+# the larger sizes before psi's rightmost-path walk became one recursion
 INVOLUTION_PAIRS_SHA256 = {
     ("D", "4"): "409ad13520972762275c71da4b04769120a208848e88aee18e4095047b150687",
     ("P", "5"): "835b8a424776030e982c075cd2b1680ea6670b8c78c6451b3c4893eaa550da05",
     ("Q", "4"): "a45f9c6dc3aee656af47b5dc8dec5b6bf36613d69175a23472839a0065e679a5",
+    ("P", "6"): "7287cae2ecbd2c2b07a94369eea66532d04753ca5ab87b3000907d6758dd27a9",
+    ("Q", "5"): "a810b2a6359d528464d21a97e83c7e10f778919ff34003b26b6b13f45775085f",
+    ("D", "5"): "613a1b9f66c02f40d15b5e8729a5ea151c59e544a84e2b068513d9e1fb12e99f",
 }
 ENUMERATE_SHA256 = {
     ("dyck", "4"): "94f4f24c801b142717d32cd90d5cf01013be84ca3fef31edbcbed93c89c54abc",

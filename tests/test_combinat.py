@@ -229,6 +229,24 @@ class TestInvolutions:
                     assert cb.psi(t, family) == expected
         assert moving > 1000
 
+    @pytest.mark.parametrize("leaf,neg", [("q", "mq"), ("q2", "mq2")])
+    def test_rightmost_detach_inverts_attach(self, leaf, neg):
+        def weighted(shape):
+            return ("1", tuple(map(weighted, shape))) if shape else (leaf, ())
+
+        subtrees = [
+            (leaf, ()), ("1", ((leaf, ()),)), (neg, ((leaf, ()),)),
+            weighted(((), ())), ("2q", (weighted(((), ())),)),
+        ]
+        trees = [
+            weighted(shape) for v in range(1, 10, 2) for shape in cb._complete_binary_shapes(v)
+        ]
+        assert len(trees) == 1 + 1 + 2 + 5 + 14
+        for t in trees:
+            assert cb._rightmost_detach(t, neg, leaf) is None
+            for s in subtrees:
+                assert cb._rightmost_detach(cb._rightmost_attach(t, s, neg), neg, leaf) == (t, s)
+
 
 def _reference_toggle(t):
     """Flip the first pre-order non-root unary vertex weighted 1 or -1, by a

@@ -22,7 +22,15 @@ from narayana.identities import (
     legendre_inverse,
     lemma_difference_argument,
 )
-from narayana.sequences import catalan, catalan_half, legendre_poly, narayana_poly
+from narayana.sequences import (
+    catalan,
+    catalan_half,
+    fibonacci,
+    legendre_poly,
+    lucas,
+    narayana_poly,
+    pell,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-30), max_value=Fraction(30), max_denominator=10
@@ -598,6 +606,74 @@ class TestHornerSums:
         # the counter is live: the power-form reference trips it
         _reference_coker_a1(4)
         assert calls
+
+
+# -- the four Pell/Lucas/Fibonacci applications as separate bodies, one per
+# identity, as an independent reference for the shared table rows ---------------
+
+
+def _reference_app_pell_odd(n):
+    lhs = 2 ** (n + 1) * catalan(2 * n + 1)
+    rhs = Fraction(0)
+    for k in range(2 * n + 1):
+        term = binomial(2 * n, k) * narayana_poly(k + 1)(2) * pell(4 * n - 2 * k - 1)
+        rhs += (-1) ** k * term
+    return lhs, rhs
+
+
+def _reference_app_pell_even(n):
+    lhs = 2 ** (n + 1) * catalan(2 * n + 2)
+    rhs = Fraction(0)
+    for k in range(2 * n + 2):
+        term = binomial(2 * n + 1, k) * narayana_poly(k + 1)(2) * pell(4 * n - 2 * k + 2)
+        rhs += (-1) ** k * term
+    return lhs, rhs
+
+
+def _reference_app_lucas(n):
+    lhs = Fraction(5) ** (n + 1) * catalan(2 * n + 1)
+    rhs = Fraction(0)
+    for k in range(2 * n + 1):
+        term = (
+            binomial(2 * n, k)
+            * narayana_poly(k + 1)(5)
+            * lucas(4 * n - 2 * k - 1)
+            * Fraction(2) ** (4 * n - 2 * k - 1)
+        )
+        rhs += (-1) ** k * term
+    return lhs, rhs
+
+
+def _reference_app_fibonacci(n):
+    lhs = Fraction(5) ** (n + 1) * catalan(2 * n + 2)
+    rhs = Fraction(0)
+    for k in range(2 * n + 2):
+        term = (
+            binomial(2 * n + 1, k)
+            * narayana_poly(k + 1)(5)
+            * fibonacci(4 * n - 2 * k + 1)
+            * Fraction(2) ** (4 * n - 2 * k + 1)
+        )
+        rhs += (-1) ** k * term
+    return lhs, rhs
+
+
+_REFERENCE_APP_SIDES = {
+    "app_pell_odd": _reference_app_pell_odd,
+    "app_pell_even": _reference_app_pell_even,
+    "app_lucas": _reference_app_lucas,
+    "app_fibonacci": _reference_app_fibonacci,
+}
+
+
+class TestAppRecurrence:
+    @pytest.mark.parametrize("tag", sorted(_REFERENCE_APP_SIDES))
+    def test_rows_match_separate_bodies(self, tag):
+        for n in range(17):
+            result = check_identity(tag, n)
+            for got, want in zip((result.lhs, result.rhs), _REFERENCE_APP_SIDES[tag](n)):
+                assert got == want and type(got) is type(want) is Fraction, (tag, n, got)
+            assert result.equal, (tag, n)
 
 
 # -- mutation audit: one helper of the identities module patched at a time -------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from narayana import sequences
 from narayana.exact_core import QPolynomial, binomial
 from narayana.sequences import (
     assoc_narayana_poly,
@@ -143,6 +144,18 @@ class TestRecurrences:
     def test_index_below_minus_one_rejected(self):
         with pytest.raises(ValueError):
             pell(-2)
+
+    @pytest.mark.parametrize("order", [range(300, -2, -1), range(-1, 301), [300, 7, 150, -1, 299]])
+    def test_grown_values_match_a_fresh_loop(self, monkeypatch, order):
+        # one list per sequence, grown on demand: any call order, a large index
+        # first included, gives the values of the recurrence run from -1
+        monkeypatch.setattr(sequences, "_recurrence_values", {})
+        for name, (prev, cur, mult) in sequences._RECURRENCES.items():
+            fresh = [prev, cur]
+            while len(fresh) < 302:
+                fresh.append(mult * fresh[-1] + fresh[-2])
+            assert [recurrence_seq(name, n) for n in order] == [fresh[n + 1] for n in order]
+            assert sequences._recurrence_values[name][:302] == fresh
 
     @given(st.sampled_from(["pell", "lucas", "fibonacci"]), st.integers(1, 40))
     def test_recurrence_holds(self, name, n):

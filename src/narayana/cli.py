@@ -114,11 +114,7 @@ def _cmd_verify(args) -> int:
     if max_n < 0:
         print("verify: --max-n must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        combinat._check_cap(max_n, VERIFY_CAP, "--max-n")
-    except combinat.EnumerationCapError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    combinat._check_cap(max_n, VERIFY_CAP, "--max-n")
     if args.identity == "all":
         names = [name for name, (min_n, _) in _CHECKS.items() if max_n >= min_n]
     elif args.identity not in _CHECKS:
@@ -179,11 +175,7 @@ def _cmd_table(args) -> int:
     if args.max_n < 0:
         print("table: --max-n must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        combinat._check_cap(args.max_n, TABLE_CAP, "--max-n")
-    except combinat.EnumerationCapError as exc:
-        print(f"table: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    combinat._check_cap(args.max_n, TABLE_CAP, "--max-n")
     if args.sequence not in _SEQUENCES:
         print(
             f"table: unknown sequence {args.sequence!r}; choose one of "
@@ -202,13 +194,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_involution(args) -> int:
-    try:
-        report = combinat.involution_verify(
-            args.family, args.n, collect_pairs=args.emit_pairs
-        )
-    except combinat.EnumerationCapError as exc:
-        print(f"involution: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = combinat.involution_verify(args.family, args.n, collect_pairs=args.emit_pairs)
     print(
         f"family={report.family} n={report.n} "
         f"elements={report.size} fixed={report.fixed_count}"
@@ -245,14 +231,10 @@ def _cmd_enumerate(args) -> int:
     ks = [args.k] if args.k is not None else range(n + 1)
     family = args.family
     # the cap is checked before anything is printed; the family then streams
-    try:
-        if family == "dyck":
-            lines = (p if p else "(empty)" for p in combinat.enumerate_dyck(n))
-        else:
-            lines = combinat.serialized_family(family, n, ks)
-    except combinat.EnumerationCapError as exc:
-        print(f"enumerate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if family == "dyck":
+        lines = (p if p else "(empty)" for p in combinat.enumerate_dyck(n))
+    else:
+        lines = combinat.serialized_family(family, n, ks)
     for line in lines:
         print(line)
     return EXIT_OK
@@ -301,6 +283,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except combinat.EnumerationCapError as exc:  # every cap is checked before output
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

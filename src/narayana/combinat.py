@@ -18,21 +18,18 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, product
 from math import prod
 from typing import Iterator, NamedTuple, Optional, Tuple
 
+from . import identities
 from .exact_core import QPolynomial, binomial
-from .sequences import narayana_poly
 
 DYCK_CAP = 12
 FAMILY_D_CAP = 8
 FAMILY_P_CAP = 9
 FAMILY_Q_CAP = 8
-
-_ONE_MINUS_Q = QPolynomial((1, -1), "q")
 
 
 class EnumerationCapError(ValueError):
@@ -173,27 +170,29 @@ def enumerate_family_D(n: int, k: int) -> list:
 
 
 def family_D_weight(n: int, k: int) -> QPolynomial:
-    """Weight sum over the decorated family, by full enumeration."""
+    """Weight sum over the decorated family: base paths and insertion tuples
+    enumerated, the sign patterns of the insertions tallied once."""
     _check_cap(n, FAMILY_D_CAP, "family_D_weight")
-    counts = [0] * (n + 1)
+    if not 0 <= k <= n:
+        return QPolynomial.zero("q")
     u = n - k
+    # every insertion tuple takes the same 2^u sign patterns, each one decorated
+    # element: exponent -> summed coefficient
+    signs = Counter()
+    for bits in range(1 << u):
+        j = bits.bit_count()
+        signs[j] += -1 if j & 1 else 1
+    counts = [0] * (n + 1)
     for base in _dyck_paths(k):
         peaks = sum(_base_tags(base))
         for comp in _compositions(u, 2 * k + 1):
-            n_tuples = 1
-            for m in comp:
-                n_tuples *= len(_dyck_paths(m))
-            for _ in range(n_tuples):
-                # each sign pattern is one decorated element
-                for bits in range(1 << u):
-                    j = bits.bit_count()
-                    counts[peaks + j] += -1 if j & 1 else 1
+            n_tuples = prod(len(_dyck_paths(m)) for m in comp)
+            for j, coeff in signs.items():
+                counts[peaks + j] += n_tuples * coeff
     return QPolynomial(counts, "q")
 
 
-def family_D_closed_form(n: int, k: int) -> QPolynomial:
-    c = Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
-    return c * narayana_poly(k) * _ONE_MINUS_Q ** (n - k)
+family_D_closed_form = partial(identities.expansion_term, "D")
 
 
 # -- the involution on weighted Dyck paths --------------------------------------
@@ -393,7 +392,8 @@ enumerate_family_Q = partial(_enumerate_family, family="Q")
 
 
 def _family_weight(n: int, k: int, family: str) -> QPolynomial:
-    """Weight sum over a marked-tree family, by full enumeration."""
+    """Weight sum over a marked-tree family: shapes enumerated, the choices of
+    marked positions counted and the mark products tallied once."""
     info = _FAMILY[family]
     _check_cap(n, info["cap"], f"family_{family}_weight")
     if not 0 <= k <= n:
@@ -407,29 +407,17 @@ def _family_weight(n: int, k: int, family: str) -> QPolynomial:
     leaf_coeff, leaf_exponent = info["leaf_weight"]
     counts = [0] * (leaf_exponent * (n + 2) + max(marks) + 1)
     for _, unary, leaves in _shape_info(n + 2):
-        if len(unary) < m:
-            continue
-        scale, base = leaf_coeff**leaves, leaf_exponent * leaves
-        for _ in combinations(unary, m):
-            for exponent, coeff in marks.items():
-                counts[base + exponent] += scale * coeff
+        # binom(len(unary), m) choices of the marked positions
+        scale = binomial(len(unary), m) * leaf_coeff**leaves
+        for exponent, coeff in marks.items():
+            counts[leaf_exponent * leaves + exponent] += scale * coeff
     return QPolynomial(counts, "q")
 
 
 family_P_weight = partial(_family_weight, family="P")
 family_Q_weight = partial(_family_weight, family="Q")
-
-
-def family_P_closed_form(n: int, k: int) -> QPolynomial:
-    minus_one_minus_q = QPolynomial((-1, -1), "q")
-    return binomial(n, k) * narayana_poly(k + 1) * minus_one_minus_q ** (n - k)
-
-
-def family_Q_closed_form(n: int, k: int) -> QPolynomial:
-    q_squared = QPolynomial((0, 0, 1), "q")
-    base = narayana_poly(k + 1).substitute(q_squared)
-    sign = (-1) ** (n - k)
-    return sign * binomial(n, k) * base * _ONE_MINUS_Q ** (2 * (n - k))
+family_P_closed_form = partial(identities.expansion_term, "P")
+family_Q_closed_form = partial(identities.expansion_term, "Q")
 
 
 # -- fixed sets -------------------------------------------------------------------

@@ -200,10 +200,7 @@ class QPolynomial:
 
         The result is written in `image`'s indeterminate.
         """
-        result = QPolynomial.zero(image.var)
-        for c in reversed(self.coeffs):
-            result = result * image + QPolynomial.constant(c, image.var)
-        return result
+        return horner(image, reversed(self.coeffs))
 
     def antiderivative(self) -> "QPolynomial":
         """Term-wise antiderivative with zero constant term."""
@@ -252,6 +249,16 @@ class QPolynomial:
             else:
                 terms.append(f"{c}*{self.var}^{i}")
         return "QPolynomial(" + " + ".join(terms) + ")"
+
+
+def horner(base: QPolynomial, terms: Iterable) -> QPolynomial:
+    """sum_k a_k base^(m-k) for the terms a_0, ..., a_m (scalars or
+    polynomials), by Horner's rule (Knuth, TAOCP vol. 2, 4.6.4): highest power
+    of base first, one product by base per term.  In base's indeterminate."""
+    acc = QPolynomial.zero(base.var)
+    for a in terms:
+        acc = acc * base + a
+    return acc
 
 
 def finite_difference_check(n: int, r: int) -> QPolynomial:
@@ -371,18 +378,6 @@ class PolySeries:
         return PolySeries([_combine(t) for t in terms], n)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("series power must be nonnegative")
-        result = PolySeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def _power(self, alpha: Fraction) -> "PolySeries":
         """self^alpha for rational alpha = a/b, the constant coefficient being 1, by

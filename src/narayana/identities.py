@@ -6,14 +6,18 @@ paths (e.g. Catalan via the closed binomial formula on one side and via the
 convolution recurrence on the other) so a shared bug cannot self-certify.
 
 Most sides are sums sum_k a_k(q) B(q)^(m-k) with B one of 1 +- q, q - 1,
-q(1 + q) or +-(1 +- q)^2.  Each is evaluated by Horner's rule in B
-(Knuth, TAOCP vol. 2, 4.6.4): acc = acc * B + a_k, highest power of B first,
-so a term costs one product by the 2-3-term B instead of a fresh power of B.
-Bare monomials c q^j are built directly, never as powers of q.
+-1 - q, q(1 + q) or +-(1 +- q)^2.  Each is evaluated by `exact_core.horner`:
+acc = acc * B + a_k, highest power of B first, so a term costs one product by
+the 2-3-term B instead of a fresh power of B.  Bare monomials c q^j are built
+directly, never as powers of q.
 
-Two sums recur and each has one body:
-- `_alternating_sum(m)` = sum_k (-1)^k binom(m, k) N_{k+1}(q) (1+q)^(m-k) is
-  f_n (m = 2n+1), catlan2's rhs (m = 2n) and (-1)^n times (3.8)'s rhs (m = n);
+Sums that recur have one body each:
+- `_EXPANSIONS` holds the paper's expansions (3.7)-(3.9) as family ->
+  (B, a(n, k)); `expansion` sums one by Horner's rule and `expansion_term` is
+  its summand k, the weight of family D, P or Q at (n, k).  (3.8)'s sum at
+  m = 2n+1 is -f_n and at m = 2n is catlan2's rhs;
+- `_alternating_catalan(m, b)` = sum_k (-1)^k binom(m, k) C_{k+1} b^(m-k) is
+  (3.8) at q = 1 (m = 2n, b = 2) and (3.9) at q = -1 (m = n, b = 4);
 - `_app_recurrence` = sum_k (-1)^k binom(m, k) N_{k+1}(x0) G_j [2^j] is the
   rhs of the four Pell/Lucas/Fibonacci applications, one registry row each.
 """
@@ -23,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .exact_core import IndeterminateMismatchError, QPolynomial, binomial
+from .exact_core import IndeterminateMismatchError, QPolynomial, binomial, horner
 from .sequences import (
     catalan,
     catalan_half,
@@ -38,6 +42,7 @@ from .sequences import (
 
 _ONE_MINUS_Q = QPolynomial((1, -1), "q")
 _ONE_PLUS_Q = QPolynomial((1, 1), "q")
+_MINUS_ONE_MINUS_Q = QPolynomial((-1, -1), "q")
 _Q_MINUS_ONE = QPolynomial((-1, 1), "q")
 _ONE_PLUS_Q_SQUARED = QPolynomial((1, 2, 1), "q")  # (1+q)^2
 _MINUS_ONE_MINUS_Q_SQUARED = QPolynomial((-1, 2, -1), "q")  # -(1-q)^2
@@ -56,15 +61,6 @@ class CheckResult:
 
 def _result(identity: str, n: int, lhs, rhs) -> CheckResult:
     return CheckResult(identity, n, lhs, rhs, lhs == rhs)
-
-
-def _horner(base: QPolynomial, terms: Iterable) -> QPolynomial:
-    """sum_k a_k base^(m-k) for the terms a_0, ..., a_m (scalars or
-    polynomials), by Horner's rule: one product by base per term."""
-    acc = QPolynomial.zero(base.var)
-    for a in terms:
-        acc = acc * base + a
-    return acc
 
 
 _catalan_memo = [Fraction(1)]
@@ -91,7 +87,7 @@ def _narayana_direct(n: int) -> list:
 def _coker_a1(n: int):
     lhs = QPolynomial(_narayana_direct(n), "q")
     # sum_k a_k q^k (1+q)^(n-1-2k), with (1+q)^((n-1) mod 2) factored out
-    rhs = _horner(_ONE_PLUS_Q_SQUARED, (
+    rhs = horner(_ONE_PLUS_Q_SQUARED, (
         QPolynomial.monomial(binomial(n - 1, 2 * k) * catalan(k), k, "q")
         for k in range((n - 1) // 2 + 1)
     ))
@@ -100,10 +96,10 @@ def _coker_a1(n: int):
 
 def _coker_b1(n: int):
     # sum_k N_{n,k} q^(2(k-1)) ((1+q)^2)^(n-k)
-    lhs = _horner(_ONE_PLUS_Q_SQUARED, (
+    lhs = horner(_ONE_PLUS_Q_SQUARED, (
         QPolynomial.monomial(c, 2 * i, "q") for i, c in enumerate(_narayana_direct(n))
     ))
-    rhs = _horner(_Q_ONE_PLUS_Q, (
+    rhs = horner(_Q_ONE_PLUS_Q, (
         binomial(n - 1, k) * catalan(k + 1) for k in range(n - 1, -1, -1)
     ))
     return lhs, rhs
@@ -111,7 +107,7 @@ def _coker_b1(n: int):
 
 def _new_expansion_c1(n: int):
     lhs = narayana_poly(n)
-    rhs = _horner(_Q_MINUS_ONE, (
+    rhs = horner(_Q_MINUS_ONE, (
         binomial(n + 1, k) * binomial(2 * n - k, n) for k in range(n, -1, -1)
     ))
     return lhs, rhs * Fraction(1, n + 1)
@@ -119,25 +115,10 @@ def _new_expansion_c1(n: int):
 
 def _equivalent_b2(n: int):
     lhs = narayana_poly(n)
-    rhs = _horner(_Q_MINUS_ONE, (
+    rhs = horner(_Q_MINUS_ONE, (
         Fraction(binomial(n + k, n - k) * binomial(2 * k, k), k + 1) for k in range(n + 1)
     ))
     return lhs, rhs
-
-
-def _main_37(n: int):
-    lhs = QPolynomial.constant(_catalan_rec(n), "q")
-    rhs = _horner(_ONE_MINUS_Q, (
-        Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1) * narayana_poly(k)
-        for k in range(n + 1)
-    ))
-    return lhs, rhs
-
-
-def _main_38(n: int):
-    lhs = QPolynomial.monomial(catalan_half(n), n // 2 + 1, "q")  # zero for odd n
-    # sum_k binom(n, k) N_{k+1}(q) (-(1+q))^(n-k)
-    return lhs, (-1) ** n * _alternating_sum(n)
 
 
 def _at_q_squared(p: QPolynomial) -> QPolynomial:
@@ -145,13 +126,31 @@ def _at_q_squared(p: QPolynomial) -> QPolynomial:
     return QPolynomial([c for a in p.coeffs for c in (a, 0)], p.var)
 
 
-def _main_39(n: int):
-    lhs = QPolynomial.monomial(catalan(n + 1), n + 2, "q")
-    # sum_k binom(n, k) N_{k+1}(q^2) (-(1-q)^2)^(n-k)
-    rhs = _horner(_MINUS_ONE_MINUS_Q_SQUARED, (
-        binomial(n, k) * _at_q_squared(narayana_poly(k + 1)) for k in range(n + 1)
-    ))
-    return lhs, rhs
+# The paper's expansions (3.7), (3.8) and (3.9): family -> (B, a(n, k)), the
+# sum being sum_{k=0}^{n} a(n, k) B^(n-k).  The lambdas look binomial and
+# narayana_poly up when called, so a replaced module attribute is what runs.
+_EXPANSIONS = {
+    "D": (_ONE_MINUS_Q, lambda n, k: (
+        Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1) * narayana_poly(k)
+    )),
+    "P": (_MINUS_ONE_MINUS_Q, lambda n, k: binomial(n, k) * narayana_poly(k + 1)),
+    "Q": (_MINUS_ONE_MINUS_Q_SQUARED, lambda n, k: (
+        binomial(n, k) * _at_q_squared(narayana_poly(k + 1))
+    )),
+}
+
+
+def expansion(family: str, n: int) -> QPolynomial:
+    """The right-hand side of family D's, P's or Q's expansion at n, summed by
+    Horner's rule in its B."""
+    base, summand = _EXPANSIONS[family]
+    return horner(base, (summand(n, k) for k in range(n + 1)))
+
+
+def expansion_term(family: str, n: int, k: int) -> QPolynomial:
+    """Summand k of family D's, P's or Q's expansion at n: a(n, k) B^(n-k)."""
+    base, summand = _EXPANSIONS[family]
+    return summand(n, k) * base ** (n - k)
 
 
 def _parity(n: int):
@@ -166,7 +165,7 @@ def _parity(n: int):
 
 def _simons_aa(n: int):
     cs = [binomial(n + k, n - k) * binomial(2 * k, k) for k in range(n + 1)]
-    lhs = _horner(_ONE_PLUS_X, ((-1) ** (n - k) * cs[k] for k in range(n, -1, -1)))
+    lhs = horner(_ONE_PLUS_X, ((-1) ** (n - k) * cs[k] for k in range(n, -1, -1)))
     return lhs, QPolynomial(cs, "x")
 
 
@@ -177,25 +176,10 @@ def _legendre_reflection(n: int):
     return lhs, rhs
 
 
-def _alternating_sum(m: int) -> QPolynomial:
-    """sum_{k=0}^{m} (-1)^k binom(m, k) N_{k+1}(q) (1+q)^{m-k}, summed by
-    Horner's rule in 1+q."""
-    return _horner(_ONE_PLUS_Q, (
-        (-1) ** k * binomial(m, k) * narayana_poly(k + 1) for k in range(m + 1)
-    ))
-
-
 def f_poly(n: int) -> QPolynomial:
-    """f_n(q) = sum_{k=0}^{2n+1} (-1)^k binom(2n+1,k) N_{k+1}(q) (1+q)^{2n+1-k}."""
-    return _alternating_sum(2 * n + 1)
-
-
-def _lemma_f_zero(n: int):
-    return f_poly(n), QPolynomial.zero("q")
-
-
-def _catlan2(n: int):
-    return QPolynomial.monomial(catalan(n), n + 1, "q"), _alternating_sum(2 * n)
+    """f_n(q) = sum_{k=0}^{2n+1} (-1)^k binom(2n+1,k) N_{k+1}(q) (1+q)^{2n+1-k},
+    which is minus (3.8)'s sum at 2n+1."""
+    return -expansion("P", 2 * n + 1)
 
 
 def _alt_sum_310(n: int):
@@ -215,22 +199,11 @@ def _app_pow2(n: int):
     return lhs, rhs
 
 
-def _app_q1_38(n: int):
-    lhs = catalan(n)
-    rhs = sum(
-        (-1) ** k * binomial(2 * n, k) * _catalan_rec(k + 1) * 2 ** (2 * n - k)
-        for k in range(2 * n + 1)
-    )
-    return lhs, Fraction(rhs)
-
-
-def _app_qm1_39(n: int):
-    lhs = catalan(n + 1)
-    rhs = sum(
-        (-1) ** k * binomial(n, k) * _catalan_rec(k + 1) * 4 ** (n - k)
-        for k in range(n + 1)
-    )
-    return lhs, Fraction(rhs)
+def _alternating_catalan(m: int, b: int) -> Fraction:
+    """sum_{k=0}^{m} (-1)^k binom(m, k) C_{k+1} b^{m-k}."""
+    return Fraction(sum(
+        (-1) ** k * binomial(m, k) * _catalan_rec(k + 1) * b ** (m - k) for k in range(m + 1)
+    ))
 
 
 def _app_touchard(n: int):
@@ -261,20 +234,26 @@ _REGISTRY = {
     "coker_b1": (1, _coker_b1),
     "new_expansion_c1": (0, _new_expansion_c1),
     "equivalent_b2": (0, _equivalent_b2),
-    "main_37": (0, _main_37),
-    "main_38": (0, _main_38),
-    "main_39": (0, _main_39),
+    # the expansions (3.7)-(3.9); (3.8)'s lhs is zero for odd n
+    "main_37": (0, lambda n: (QPolynomial.constant(_catalan_rec(n), "q"), expansion("D", n))),
+    "main_38": (0, lambda n: (
+        QPolynomial.monomial(catalan_half(n), n // 2 + 1, "q"), expansion("P", n)
+    )),
+    "main_39": (0, lambda n: (
+        QPolynomial.monomial(catalan(n + 1), n + 2, "q"), expansion("Q", n)
+    )),
     # holds only from n=1: the convention here sets the zeroth Narayana
     # polynomial to 1, so its value at -1 is 1, not 0
     "parity": (1, _parity),
     "simons_aa": (0, _simons_aa),
     "legendre_reflection": (0, _legendre_reflection),
-    "lemma_f_zero": (0, _lemma_f_zero),
-    "catlan2": (0, _catlan2),
+    "lemma_f_zero": (0, lambda n: (f_poly(n), QPolynomial.zero("q"))),
+    "catlan2": (0, lambda n: (QPolynomial.monomial(catalan(n), n + 1, "q"), expansion("P", 2 * n))),
     "alt_sum_310": (1, _alt_sum_310),
     "app_pow2": (0, _app_pow2),
-    "app_q1_38": (0, _app_q1_38),
-    "app_qm1_39": (0, _app_qm1_39),
+    # (3.8) at q = 1 and (3.9) at q = -1
+    "app_q1_38": (0, lambda n: (catalan(n), _alternating_catalan(2 * n, 2))),
+    "app_qm1_39": (0, lambda n: (catalan(n + 1), _alternating_catalan(n, 4))),
     "app_touchard": (0, _app_touchard),
     # the rows name pell, lucas and fibonacci inside a lambda, so a replaced
     # module attribute is what runs
@@ -315,7 +294,7 @@ def integral_representation_check(n: int) -> CheckResult:
     if n < 1:
         raise ValueError(f"integral representation is stated for n >= 1, got {n}")
     anti = legendre_poly(n, "shifted").antiderivative()
-    value = _horner(_Q_MINUS_ONE, (
+    value = horner(_Q_MINUS_ONE, (
         QPolynomial.monomial(anti.coefficient(j), j, "q") for j in range(1, n + 2)
     ))
     return _result("integral_representation", n, narayana_poly(n), value)

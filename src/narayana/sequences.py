@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_core import QPolynomial, binomial
+from .exact_core import QPolynomial, binomial, horner
 
 # Recurrence initial values, indexed from -1.  Note the Fibonacci convention
 # here starts F_{-1} = 0, F_0 = 1, giving F_1 = 1, F_2 = 2 -- shifted by one
@@ -80,11 +80,9 @@ def legendre_poly(n: int, form: str = "standard") -> QPolynomial:
             coeffs[n - 2 * k] = scale * c
         return QPolynomial(coeffs, "x")
     if form == "shifted":
-        x_minus_1 = QPolynomial((-1, 1), "x")
-        total = QPolynomial.zero("x")
-        for k in range(n, -1, -1):
-            total = total * x_minus_1 + binomial(n + k, n - k) * binomial(2 * k, k)
-        return total
+        return horner(QPolynomial((-1, 1), "x"), (
+            binomial(n + k, n - k) * binomial(2 * k, k) for k in range(n, -1, -1)
+        ))
     raise ValueError(f"legendre_poly: unknown form {form!r}")
 
 

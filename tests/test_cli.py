@@ -401,6 +401,23 @@ class TestEnumerate:
             "enumerate: enumerate_family_P: n=99 exceeds cap 9 (set NARAYANA_CAP to raise it)\n"
         )
 
+    @pytest.mark.parametrize("argv, err", [
+        (("involution", "--family", "P", "--n", "10"),
+         "involution: involution_verify(P): n=10 exceeds cap 9"),
+        (("involution", "--family", "D", "--n", "9"),
+         "involution: involution_verify(D): n=9 exceeds cap 8"),
+        (("involution", "--family", "Q", "--n", "9"),
+         "involution: involution_verify(Q): n=9 exceeds cap 8"),
+        (("enumerate", "--family", "dyck", "--n", "13"),
+         "enumerate: enumerate_dyck: n=13 exceeds cap 12"),
+    ])
+    def test_cap_error_names_the_command(self, capsys, monkeypatch, argv, err):
+        monkeypatch.delenv("NARAYANA_CAP", raising=False)
+        code, out, got = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert got == err + " (set NARAYANA_CAP to raise it)\n"
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
 

@@ -1,11 +1,14 @@
 import os
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
 from narayana import combinat as cb
-from narayana.exact_core import QPolynomial
-from narayana.sequences import catalan, catalan_half
+from narayana.exact_core import QPolynomial, binomial
+from narayana.sequences import catalan, catalan_half, narayana_poly
 
 
 class TestDyckEnumeration:
@@ -470,3 +473,94 @@ class TestCertificateMutants:
         report = _report_against_reference("P", 4)
         assert report.failures == {**NO_FAILURES, "fixed_set_match": 1, "total_weight": 1}
         assert report.counterexample is None
+
+
+# -- the closed forms and weight sums as separate bodies: each closed form with
+# its own power of (1 -+ q) and, for Q, substitute(q^2); each weight sum with
+# one loop pass per sign pattern or per choice of marked positions ------------
+
+_ONE_MINUS_Q = QPolynomial((1, -1), "q")
+
+
+def _reference_closed_form_D(n, k):
+    c = Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
+    return c * narayana_poly(k) * _ONE_MINUS_Q ** (n - k)
+
+
+def _reference_closed_form_P(n, k):
+    return binomial(n, k) * narayana_poly(k + 1) * QPolynomial((-1, -1), "q") ** (n - k)
+
+
+def _reference_closed_form_Q(n, k):
+    base = narayana_poly(k + 1).substitute(QPolynomial((0, 0, 1), "q"))
+    return (-1) ** (n - k) * binomial(n, k) * base * _ONE_MINUS_Q ** (2 * (n - k))
+
+
+def _reference_weight_D(n, k):
+    counts = [0] * (n + 1)
+    u = n - k
+    for base in cb._dyck_paths(k):
+        peaks = sum(cb._base_tags(base))
+        for comp in cb._compositions(u, 2 * k + 1):
+            n_tuples = 1
+            for m in comp:
+                n_tuples *= len(cb._dyck_paths(m))
+            for _ in range(n_tuples):
+                for bits in range(1 << u):
+                    j = bits.bit_count()
+                    counts[peaks + j] += -1 if j & 1 else 1
+    return QPolynomial(counts, "q")
+
+
+def _reference_weight_tree(family, n, k):
+    info = cb._FAMILY[family]
+    if not 0 <= k <= n:
+        return QPolynomial.zero("q")
+    m = n - k
+    marks = Counter()
+    for tags in product(info["mark_weights"], repeat=m):
+        marks[sum(e for _, e in tags)] += prod(c for c, _ in tags)
+    leaf_coeff, leaf_exponent = info["leaf_weight"]
+    counts = [0] * (leaf_exponent * (n + 2) + max(marks) + 1)
+    for _, unary, leaves in cb._shape_info(n + 2):
+        if len(unary) < m:
+            continue
+        scale, base = leaf_coeff**leaves, leaf_exponent * leaves
+        for _ in combinations(unary, m):
+            for exponent, coeff in marks.items():
+                counts[base + exponent] += scale * coeff
+    return QPolynomial(counts, "q")
+
+
+_REFERENCE_FAMILIES = {
+    "D": (7, _reference_closed_form_D, _reference_weight_D),
+    "P": (7, _reference_closed_form_P, lambda n, k: _reference_weight_tree("P", n, k)),
+    "Q": (6, _reference_closed_form_Q, lambda n, k: _reference_weight_tree("Q", n, k)),
+}
+
+
+def _identical(got, want):
+    """Same stored coefficients, each of the same type."""
+    return got.coeffs == want.coeffs and [type(c) for c in got.coeffs] == [
+        type(c) for c in want.coeffs
+    ]
+
+
+class TestAgainstSeparateBodies:
+    @pytest.mark.parametrize("family", sorted(_REFERENCE_FAMILIES))
+    def test_closed_form_is_the_expansion_summand(self, family):
+        top, reference, _ = _REFERENCE_FAMILIES[family]
+        closed = getattr(cb, f"family_{family}_closed_form")
+        for n in range(top + 1):
+            for k in range(n + 1):
+                got, want = closed(n, k), reference(n, k)
+                assert _identical(got, want), (family, n, k, got, want)
+
+    @pytest.mark.parametrize("family", sorted(_REFERENCE_FAMILIES))
+    def test_weight_sum_matches_per_element_loops(self, family):
+        top, _, reference = _REFERENCE_FAMILIES[family]
+        weight = getattr(cb, f"family_{family}_weight")
+        for n in range(top + 1):
+            for k in range(-1, n + 2):
+                got, want = weight(n, k), reference(n, k)
+                assert _identical(got, want), (family, n, k, got, want)

@@ -658,8 +658,21 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
     are tallied as exponent -> coefficient and become polynomials once, at
     the end.  The multisets compare the elements themselves, which is as
     strict as comparing their (injective) serialisations; `serialize` is
-    only called for the counterexample and the pairs."""
-    closure = Counter()  # moving elements count +1, their images -1
+    only called for the counterexample and the pairs.
+
+    Each pair {e, img} is worked once, by the member met first: it computes
+    img = apply(e), key(img) and apply(img).  When both checks pass, img
+    goes into `open_pairs` with its partner and key, once per occurrence
+    (`elements` may repeat one).  A later non-fixed occurrence of img pops
+    it: apply(img) == e and key(img) were computed, and apply(e) == img
+    holds, so img passes both checks, and the +1/-1 the closure would count
+    for e and for img cancel.  So only failing elements enter the closure,
+    and each pair still open at the end adds +partner, -img, which is what
+    the two visits would leave when img is fixed or not in the family.  The
+    closure multiset, every per-element result and the counterexample are
+    therefore those of visiting every element from its own end."""
+    closure = Counter()  # failing elements +1, their images -1
+    open_pairs = {}  # image -> (partner, image's key, occurrences still due)
     fixed_match = Counter()  # fixed elements found +1, expected -1
     total, fixed_weight = Counter(), Counter()  # exponent -> coefficient
     size = fixed_count = self_inverse = weight_reversal = 0
@@ -667,27 +680,44 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
     pairs, seen_pairs = [], set()
     for e in elements:
         size += 1
-        coeff, exponent = key(e)
-        total[exponent] += coeff
         if is_fixed(e):
+            coeff, exponent = key(e)
+            total[exponent] += coeff
             fixed_count += 1
             fixed_match[e] += 1
             continue
+        met = open_pairs.pop(e, None)
+        if met is not None:
+            partner, (coeff, exponent), due = met
+            total[exponent] += coeff
+            if due > 1:
+                open_pairs[e] = (partner, (coeff, exponent), due - 1)
+            continue
+        coeff, exponent = key(e)
+        total[exponent] += coeff
         img = apply(e)
-        closure[e] += 1
-        closure[img] -= 1
+        img_key = key(img)
         # weights are nonzero monomials, so equal keys <=> equal weights
-        reversed_ok = key(img) == (-coeff, exponent)
+        reversed_ok = img_key == (-coeff, exponent)
         inverse_ok = apply(img) == e
-        weight_reversal += not reversed_ok
-        self_inverse += not inverse_ok
-        if not (reversed_ok and inverse_ok) and not counterexample:
-            counterexample = serialize(e)
+        if reversed_ok and inverse_ok:
+            due = open_pairs[img][2] if img in open_pairs else 0
+            open_pairs[img] = (e, img_key, due + 1)
+        else:
+            closure[e] += 1
+            closure[img] -= 1
+            weight_reversal += not reversed_ok
+            self_inverse += not inverse_ok
+            if not counterexample:
+                counterexample = serialize(e)
         if collect_pairs:
             pair = frozenset((e, img))
             if pair not in seen_pairs:
                 seen_pairs.add(pair)
                 pairs.append((serialize(e), serialize(img)))
+    for img, (partner, _, due) in open_pairs.items():
+        closure[partner] += due
+        closure[img] -= due
     for e in expected_fixed:
         fixed_match[e] -= 1
         coeff, exponent = key(e)

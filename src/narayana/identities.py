@@ -148,8 +148,11 @@ def expansion(family: str, n: int) -> QPolynomial:
 
 
 def expansion_term(family: str, n: int, k: int) -> QPolynomial:
-    """Summand k of family D's, P's or Q's expansion at n: a(n, k) B^(n-k)."""
+    """Summand k of family D's, P's or Q's expansion at n: a(n, k) B^(n-k),
+    zero outside 0 <= k <= n as the family's weight sum is."""
     base, summand = _EXPANSIONS[family]
+    if not 0 <= k <= n:
+        return QPolynomial.zero("q")
     return summand(n, k) * base ** (n - k)
 
 

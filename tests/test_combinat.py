@@ -406,6 +406,29 @@ class TestCertifier:
         assert report.certified and report.size > 1000
         assert len(calls) <= 2
 
+    @pytest.mark.parametrize("family,n", [("P", 5), ("Q", 4)])
+    def test_each_pair_worked_once(self, monkeypatch, family, n):
+        # psi runs twice per pair, from the member met first, and the second
+        # member reuses its image's key, so only the first member, its image
+        # and the expected fixed trees are weighed
+        counts = Counter()
+
+        def counting(name):
+            real = getattr(cb, name)
+
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cb, name, wrapped)
+
+        counting("psi")
+        counting("_tree_key")
+        report = cb.involution_verify(family, n)
+        assert report.certified and report.size - report.fixed_count > 700
+        assert counts["psi"] <= report.size - report.fixed_count
+        assert counts["_tree_key"] <= report.size + len(getattr(cb, f"fixed_set_{family}")(n))
+
 
 def _psi_table_P(n):
     """psi on every moving element of family P at n."""
@@ -466,6 +489,68 @@ class TestCertificateMutants:
         report = _report_against_reference("P", 3)
         assert report.failures == {**NO_FAILURES, "multiset_closure": 2, "self_inverse": 1}
         assert report.counterexample == cb.serialize_tree(t1)
+
+    def test_mutant_onto_the_fixed_set(self, monkeypatch):
+        # t0 goes to a fixed tree of its true image's weight, and back: t0's
+        # own checks pass, so the fixed tree waits as an open image, yet it
+        # is still counted as fixed when it is met; t1 still goes to t0
+        real_psi = cb.psi
+        fixed = cb.fixed_set_P(4)[0]
+        t0 = next(
+            t for k in range(4) for t in cb.enumerate_family_P(4, k)
+            if cb._tree_key(t) == (-1, cb._tree_key(fixed)[1])
+        )
+        t1 = real_psi(t0, "P")
+
+        def mutant(t, family):
+            if t == t0:
+                return fixed
+            if t == fixed:
+                return t0
+            return real_psi(t, family)
+
+        monkeypatch.setattr(cb, "psi", mutant)
+        report = _report_against_reference("P", 4)
+        assert report.fixed_count == len(cb.fixed_set_P(4))
+        assert report.failures == {**NO_FAILURES, "multiset_closure": 2, "self_inverse": 1}
+        assert report.counterexample == cb.serialize_tree(t1)
+
+    def test_mutant_on_repeated_paths(self, monkeypatch):
+        # D's flattened paths are all distinct at n <= 6, so the enumeration
+        # here yields every moving element twice, as a non-injective flatten
+        # would; each pair then opens and closes twice
+        real_iter = cb.iter_family_D
+
+        def doubled(n, k):
+            for e in real_iter(n, k):
+                yield e
+                if not cb._is_unweighted(cb.flatten(e)):
+                    yield e
+
+        monkeypatch.setattr(cb, "iter_family_D", doubled)
+        report = _report_against_reference("D", 3)
+        assert report.failures == NO_FAILURES and report.size == 2 * 101 - 5
+        # p goes to a path one semilength longer with its true image's
+        # weight, and back; both copies of p open that image, and neither
+        # copy of q = phi(p) finds p sent back
+        real_phi = cb.phi
+        p = next(cb.flatten(e) for e in real_iter(3, 1))
+        q = real_phi(p)
+
+        def lengthened(path):
+            return cb.WeightedDyckPath(path.steps + "UD", path.tags + (0,))
+
+        swaps = {p: lengthened(q), lengthened(q): p}
+        monkeypatch.setattr(cb, "phi", lambda path: swaps.get(path) or real_phi(path))
+        report = _report_against_reference("D", 3)
+        assert report.failures == {**NO_FAILURES, "multiset_closure": 4, "self_inverse": 2}
+        assert report.counterexample == cb.serialize_path(q)
+        # q is sent out of the family too: every element passes its own
+        # checks, and only the two pairs left open, twice each, show it
+        swaps.update({q: lengthened(p), lengthened(p): q})
+        report = _report_against_reference("D", 3)
+        assert report.failures == {**NO_FAILURES, "multiset_closure": 8}
+        assert report.counterexample is None
 
     def test_fixed_set_missing_an_element(self, monkeypatch):
         real = cb.fixed_set_P
@@ -555,6 +640,16 @@ class TestAgainstSeparateBodies:
             for k in range(n + 1):
                 got, want = closed(n, k), reference(n, k)
                 assert _identical(got, want), (family, n, k, got, want)
+
+    @pytest.mark.parametrize("family", sorted(_REFERENCE_FAMILIES))
+    def test_closed_form_and_weight_sum_share_the_domain(self, family):
+        # outside 0 <= k <= n both sides are the zero polynomial
+        closed = getattr(cb, f"family_{family}_closed_form")
+        weight = getattr(cb, f"family_{family}_weight")
+        for n in range(5):
+            for k in (-1, n + 1):
+                got, want = closed(n, k), weight(n, k)
+                assert _identical(got, want) and got == QPolynomial.zero("q"), (family, n, k)
 
     @pytest.mark.parametrize("family", sorted(_REFERENCE_FAMILIES))
     def test_weight_sum_matches_per_element_loops(self, family):

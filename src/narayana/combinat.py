@@ -4,8 +4,10 @@ involutions that prove the three Catalan/Narayana expansions.
 Dyck paths are U/D strings.  A weighted Dyck path carries one tag per
 up-step, left to right: 0 for weight 1, +1 for weight q, -1 for weight -q.
 Decorated elements keep the tuple structure (base path plus insertions)
-because flattening is not injective; weight sums run over the decorated
-multiset while the involution acts on flattened paths.
+for the weight sums, which run per k over base paths and insertion sizes,
+none of which a flattened path shows.  The involution acts on flattened
+paths; no two decorated elements of one size flatten alike (checked by full
+enumeration for n <= 7), so flattening merges no elements.
 
 Weighted plane trees are nested pairs (tag, children).  Tags: "1" unmarked
 internal, "q"/"q2" leaf, "m1" marked unary -1, "mq" marked unary -q,

@@ -254,11 +254,49 @@ class QPolynomial:
 def horner(base: QPolynomial, terms: Iterable) -> QPolynomial:
     """sum_k a_k base^(m-k) for the terms a_0, ..., a_m (scalars or
     polynomials), by Horner's rule (Knuth, TAOCP vol. 2, 4.6.4): highest power
-    of base first, one product by base per term.  In base's indeterminate."""
-    acc = QPolynomial.zero(base.var)
-    for a in terms:
-        acc = acc * base + a
-    return acc
+    of base first, one product by base per term.  In base's indeterminate.
+
+    The sum runs on one coefficient list: every term is scaled by the common
+    denominator d of all term coefficients, so with an integer base each step
+    is `int` arithmetic, and the list is divided by d once at the end.  The
+    indeterminate follows `acc * base + a` step by step: a constant partial
+    product takes the next term's indeterminate, and two non-constant operands
+    in different indeterminates raise IndeterminateMismatchError.
+    """
+    polys = [
+        (a.coeffs, a.var) if isinstance(a, QPolynomial) else ((_as_scalar(a),), None)
+        for a in terms
+    ]
+    d = math.lcm(*{c.denominator for cs, _ in polys for c in cs if type(c) is not int})
+    b, n_b = base.coeffs, len(base.coeffs)
+    acc, var = [], base.var
+    for cs, a_var in polys:
+        if len(acc) > 1 and n_b > 1 and var != base.var:
+            raise IndeterminateMismatchError(
+                f"cannot combine polynomials in {var!r} and {base.var!r}"
+            )
+        var = var if len(acc) > 1 else base.var
+        if acc and b:
+            prod = [0] * (len(acc) + n_b - 1)
+            for j, cb in enumerate(b):
+                if cb:
+                    for i, ca in enumerate(acc, j):
+                        prod[i] += ca * cb
+            acc = prod
+        else:
+            acc = []
+        if len(acc) <= 1:
+            var = var if a_var is None else a_var
+        elif len(cs) > 1 and a_var != var:
+            raise IndeterminateMismatchError(
+                f"cannot combine polynomials in {var!r} and {a_var!r}"
+            )
+        acc.extend([0] * (len(cs) - len(acc)))
+        for i, c in enumerate(cs):
+            acc[i] += c * d if type(c) is int else c.numerator * (d // c.denominator)
+        while acc and not acc[-1]:
+            acc.pop()
+    return QPolynomial(acc if d == 1 else [Fraction(c, d) for c in acc], var)
 
 
 def finite_difference_check(n: int, r: int) -> QPolynomial:

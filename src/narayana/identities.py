@@ -8,8 +8,10 @@ convolution recurrence on the other) so a shared bug cannot self-certify.
 Most sides are sums sum_k a_k(q) B(q)^(m-k) with B one of 1 +- q, q - 1,
 -1 - q, q(1 + q) or +-(1 +- q)^2.  Each is evaluated by `exact_core.horner`:
 acc = acc * B + a_k, highest power of B first, so a term costs one product by
-the 2-3-term B instead of a fresh power of B.  Bare monomials c q^j are built
-directly, never as powers of q.
+the 2-3-term B instead of a fresh power of B.  The sum runs on one coefficient
+list: the terms are scaled by one common denominator of their coefficients,
+every step is `int` arithmetic, and the list is divided once at the end.  Bare
+monomials c q^j are built directly, never as powers of q.
 
 Sums that recur have one body each:
 - `_EXPANSIONS` holds the paper's expansions (3.7)-(3.9) as family ->

@@ -33,6 +33,8 @@ ALL_MAX_N_20_TEXT_SHA256 = "985759b07ed5c7a55eb360d3ba4066abcaf695a68407404e2151
 # and of `verify --identity all --max-n 30` text before the identity sums were
 # evaluated by Horner's rule
 ALL_MAX_N_30_TEXT_SHA256 = "ed48553cc8b0725a94b2c672cf4e0fad7393961d2e0edceef6cb73079d3ac27d"
+# and at the default cap, --max-n 50 text, kept since the Horner sums
+ALL_MAX_N_50_TEXT_SHA256 = "f7dfb8f6c23f8188cbeddcb679b85697d1a76835dbed582ac9b9848608eee610"
 
 # sha256 of stdout before the one-pass certifier and the streamed `enumerate`;
 # the larger sizes before psi's rightmost-path walk became one recursion
@@ -154,8 +156,9 @@ class TestVerify:
             (("--max-n", "14", "--format", "json"), ALL_MAX_N_14_JSON_SHA256),
             (("--max-n", "20"), ALL_MAX_N_20_TEXT_SHA256),
             (("--max-n", "30"), ALL_MAX_N_30_TEXT_SHA256),
+            (("--max-n", "50"), ALL_MAX_N_50_TEXT_SHA256),
         ],
-        ids=["14-json", "20-text", "30-text"],
+        ids=["14-json", "20-text", "30-text", "50-text"],
     )
     def test_series_sizes_output_is_pinned(self, capsys, argv, digest):
         code, out, err = run(capsys, "verify", "--identity", "all", *argv)

@@ -66,6 +66,16 @@ class TestFamilyD:
             assert len(flat.steps) == 6
             assert len(flat.tags) == 3
 
+    def test_flatten_is_injective(self):
+        # the involution acts on flattened paths, so no two decorated
+        # elements may flatten alike (36,992 paths at n = 6)
+        for n in range(7):
+            flat = [cb.flatten(e) for k in range(n + 1) for e in cb.iter_family_D(n, k)]
+            assert len(set(flat)) == len(flat), n
+            dbar = cb.dbar_elements(n)
+            assert len(set(dbar)) == len(dbar), n
+        assert len(flat) == 36992
+
     def test_phi_is_weight_reversing_on_sample(self):
         for e in cb.enumerate_family_D(3, 1):
             p = cb.flatten(e)

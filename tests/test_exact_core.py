@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from narayana.exact_core import (
@@ -11,6 +11,7 @@ from narayana.exact_core import (
     SeriesPreconditionError,
     binomial,
     finite_difference_check,
+    horner,
 )
 from narayana.identities import IDENTITY_TAGS, check_identity, identity_min_n
 from narayana.sequences import legendre_poly, narayana_poly
@@ -447,3 +448,95 @@ class TestSeriesAgainstReference:
         with pytest.raises(SeriesPreconditionError) as got:
             getattr(series, method)(*args)
         assert str(got.value) == str(expected.value)
+
+
+# -- horner against the sums it replaced: the loop acc * base + a with one
+#    QPolynomial per step, and the power form sum_k a_k base^(m-k)
+
+
+def _reference_horner(base, terms):
+    acc = QPolynomial.zero(base.var)
+    for a in terms:
+        acc = acc * base + a
+    return acc
+
+
+def _reference_power_form(base, terms):
+    total = QPolynomial.zero(base.var)
+    for k, a in enumerate(terms):
+        total = total + a * base ** (len(terms) - 1 - k)
+    return total
+
+
+def assert_identical(got, expected):
+    assert got.coeffs == expected.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in expected.coeffs]
+    assert got.var == expected.var
+
+
+@st.composite
+def horner_bases(draw, var="q"):
+    """A base with int or Fraction coefficients, zero, or a nonzero constant."""
+    coeffs = draw(st.one_of(
+        st.lists(st.integers(-9, 9), min_size=2, max_size=4),
+        st.lists(small_rationals, min_size=2, max_size=4),
+        st.just([]),
+        small_rationals.filter(bool).map(lambda c: [c]),
+    ))
+    return QPolynomial(coeffs, var)
+
+
+def horner_terms(variables):
+    """Terms that are ints, Fractions, or polynomials with Fraction
+    coefficients in one of the given indeterminates; possibly none."""
+    polys = st.builds(QPolynomial, poly_coeffs, st.sampled_from(variables))
+    return st.lists(st.one_of(st.integers(-50, 50), rationals, polys), max_size=6)
+
+
+class TestHornerAgainstReference:
+    @given(horner_bases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_power_form(self, base, data):
+        # a constant base combines with terms in any one indeterminate
+        terms = data.draw(horner_terms("q" if base.degree > 0 else data.draw(st.sampled_from("qx"))))
+        got = horner(base, terms)
+        expected = _reference_power_form(base, terms)
+        assert_canonical(got)
+        if got.is_constant:  # the two sums may name a constant's indeterminate differently
+            expected = QPolynomial(expected.coeffs, got.var)
+        assert_identical(got, expected)
+
+    @given(st.sampled_from("qx").flatmap(horner_bases), horner_terms("qx"))
+    # a partial sum that cancels to a constant hands the indeterminate back
+    @example(QPolynomial((2,), "q"),
+             [QPolynomial((0, 1), "x"), QPolynomial((0, -2), "x"), 5])
+    @settings(max_examples=150, deadline=None)
+    def test_step_loop(self, base, terms):
+        # the indeterminate, and whether it mismatches, as acc * base + a had it
+        try:
+            expected = _reference_horner(base, terms)
+        except IndeterminateMismatchError:
+            with pytest.raises(IndeterminateMismatchError):
+                horner(base, terms)
+            return
+        assert_identical(horner(base, terms), expected)
+
+    @pytest.mark.parametrize("base", [QPolynomial((1, 1), "x"), QPolynomial((3,), "x"),
+                                      QPolynomial.zero("x")])
+    def test_no_terms_is_zero_in_base_var(self, base):
+        assert_identical(horner(base, []), QPolynomial.zero("x"))
+        assert_identical(horner(base, iter(())), QPolynomial.zero("x"))
+
+    @pytest.mark.parametrize("terms", [[0.5], [1, 2.0], [2.0, 1], [QPolynomial((1, 1)), 0.25]])
+    def test_float_term_rejected(self, terms):
+        with pytest.raises(TypeError):
+            horner(QPolynomial((1, 1), "q"), terms)
+
+    @pytest.mark.parametrize("base, terms", [
+        (QPolynomial((1, 1), "q"), [QPolynomial((0, 1), "x"), 1]),
+        (QPolynomial((1, 1), "q"), [1, QPolynomial((0, 1), "x")]),
+        (QPolynomial((2,), "q"), [QPolynomial((0, 1), "q"), QPolynomial((0, 1), "x")]),
+    ])
+    def test_term_in_other_indeterminate_rejected(self, base, terms):
+        with pytest.raises(IndeterminateMismatchError):
+            horner(base, terms)

@@ -213,8 +213,8 @@ class TestLemmaIndependence:
             "finite_difference_check", exact_core.finite_difference_check))
         assert lemma_difference_argument(6)
         assert calls == Counter()
-        # the counters are live: the direct expansion trips them
-        f_poly(1)
+        # the counters are live: a polynomial product trips them
+        narayana_poly(3) * narayana_poly(2)
         assert calls["QPolynomial.__mul__"] and calls["QPolynomial.__init__"]
 
 
@@ -680,7 +680,19 @@ class TestAppRecurrence:
 
 _AUDIT_MAX_N = 8
 
-# helper -> mutant factory (given the real helper): one entry off by one each
+def _undivided_horner(real, base, terms):
+    """horner as if it dropped its final division by a common denominator of 2:
+    the sum doubled whenever some term has a coefficient that is not an int.
+    (A division by the true d, dropped, would go unseen here: every sum that
+    identities passes to horner has whole coefficients at n <= 8, so d = 1.)"""
+    terms = list(terms)
+    coeffs = [c for a in terms for c in (a.coeffs if isinstance(a, QPolynomial) else (a,))]
+    total = real(base, terms)
+    return 2 * total if any(type(c) is not int for c in coeffs) else total
+
+
+# helper -> mutant factory (given the real helper): one entry off by one each,
+# and horner's two summing the terms in reverse order or skipping the division
 _MUTANTS = {
     "narayana_poly": lambda real: lambda n: real(n) + (_Q if n == 5 else 0),
     "binomial": lambda real: lambda n, k: real(n, k) + ((n, k) == (7, 3)),
@@ -691,10 +703,14 @@ _MUTANTS = {
     "pell": lambda real: lambda n: real(n) + (n == 5),
     "lucas": lambda real: lambda n: real(n) + (n == 5),
     "fibonacci": lambda real: lambda n: real(n) + (n == 5),
+    # two mutants of one helper: the name before the slash is what is patched
+    "horner/reversed": lambda real: lambda base, terms: real(base, list(terms)[::-1]),
+    "horner/undivided": lambda real: partial(_undivided_horner, real),
 }
 
-# helper -> the checks that fail for some n <= 8 under its mutant; the same
-# sets as for the power-form sums, so the Horner evaluation catches no less
+# helper -> the checks that fail for some n <= 8 under its mutant; up to
+# horner's own, the same sets as for the power-form sums, so the Horner
+# evaluation catches no less
 _CAUGHT_BY = {
     "narayana_poly": {
         "app_fibonacci", "app_lucas", "app_pell_even", "app_pell_odd", "catlan2",
@@ -716,6 +732,11 @@ _CAUGHT_BY = {
     "pell": {"app_pell_odd"},
     "lucas": {"app_lucas"},
     "fibonacci": {"app_fibonacci"},
+    "horner/reversed": {
+        "catlan2", "coker_a1", "coker_b1", "equivalent_b2", "integral_representation",
+        "lemma_f_zero", "main_37", "main_38", "main_39", "new_expansion_c1", "simons_aa",
+    },
+    "horner/undivided": {"coker_b1", "equivalent_b2"},
 }
 
 
@@ -737,7 +758,8 @@ class TestMutationAudit:
 
     @pytest.mark.parametrize("helper", sorted(_MUTANTS))
     def test_catch_set(self, monkeypatch, helper):
-        monkeypatch.setattr(identities, helper, _MUTANTS[helper](getattr(identities, helper)))
+        name = helper.split("/")[0]
+        monkeypatch.setattr(identities, name, _MUTANTS[helper](getattr(identities, name)))
         assert _failing_checks() == _CAUGHT_BY[helper]
 
     def test_zero_f_poly_is_a_blind_spot(self, monkeypatch, narayana_mutant):

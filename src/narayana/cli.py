@@ -21,6 +21,7 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 VERIFY_CAP = 50  # largest `verify --max-n` unless NARAYANA_CAP raises it
 TABLE_CAP = 1000  # largest `table --max-n` unless NARAYANA_CAP raises it
+ROW_TABLE_CAP = 300  # the same for a sequence of coefficient rows (output ~ n^3)
 
 
 def _frac_str(f) -> str:
@@ -148,20 +149,25 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_equal else EXIT_MISMATCH
 
 
-def _rows(value, start=0):
-    return lambda max_n: ((n, value(n)) for n in range(start, max_n + 1))
+def _rows(value, start=0, cap=TABLE_CAP):
+    return cap, lambda max_n: ((n, value(n)) for n in range(start, max_n + 1))
 
 
 def _coefficients(p: QPolynomial, n: int) -> list:
     return [_frac_str(p.coefficient(i)) for i in range(n + 1)]
 
 
-# sequence name -> rows(max_n) of (n, value or coefficient list)
+# sequence name -> (largest --max-n, rows(max_n) of (n, value or coefficient list))
 _SEQUENCES = {
-    "narayana_poly": _rows(lambda n: _coefficients(sequences.narayana_poly(n), n)),
-    "legendre": _rows(lambda n: _coefficients(sequences.legendre_poly(n, "standard"), n)),
+    "narayana_poly": _rows(
+        lambda n: _coefficients(sequences.narayana_poly(n), n), cap=ROW_TABLE_CAP
+    ),
+    "legendre": _rows(
+        lambda n: _coefficients(sequences.legendre_poly(n, "standard"), n), cap=ROW_TABLE_CAP
+    ),
     "narayana_number": _rows(
-        lambda n: [_frac_str(sequences.narayana_number(n, k)) for k in range(n + 1)]
+        lambda n: [_frac_str(sequences.narayana_number(n, k)) for k in range(n + 1)],
+        cap=ROW_TABLE_CAP,
     ),
     "catalan": _rows(lambda n: _frac_str(sequences.catalan(n))),
     "schroeder": _rows(lambda n: _frac_str(sequences.narayana_poly(n)(2))),
@@ -175,7 +181,6 @@ def _cmd_table(args) -> int:
     if args.max_n < 0:
         print("table: --max-n must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    combinat._check_cap(args.max_n, TABLE_CAP, "--max-n")
     if args.sequence not in _SEQUENCES:
         print(
             f"table: unknown sequence {args.sequence!r}; choose one of "
@@ -183,7 +188,9 @@ def _cmd_table(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    for n, value in _SEQUENCES[args.sequence](args.max_n):
+    cap, rows = _SEQUENCES[args.sequence]
+    combinat._check_cap(args.max_n, cap, "--max-n")
+    for n, value in rows(args.max_n):
         if args.format == "json":
             key = "coefficients" if isinstance(value, list) else "value"
             print(json.dumps({"n": n, key: value}))

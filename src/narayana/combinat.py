@@ -18,12 +18,11 @@ transparent by the structural tests).
 from __future__ import annotations
 
 import os
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from functools import lru_cache, partial
 from itertools import combinations, product
 from math import prod
-from typing import Iterator, NamedTuple, Optional, Tuple
 
 from . import identities
 from .exact_core import QPolynomial, binomial
@@ -66,7 +65,7 @@ def _check_cap(n: int, default: int, what: str):
 
 
 @lru_cache(maxsize=None)
-def _dyck_paths(n: int) -> Tuple[str, ...]:
+def _dyck_paths(n: int) -> tuple[str, ...]:
     if n == 0:
         return ("",)
     out = []
@@ -90,12 +89,11 @@ def enumerate_dyck(n: int) -> list:
     return list(_dyck_paths(n))
 
 
-class WeightedDyckPath(NamedTuple):
-    steps: str
-    tags: Tuple[int, ...]  # one per up-step: 0 -> 1, +1 -> q, -1 -> -q
+# tags: one per up-step: 0 -> 1, +1 -> q, -1 -> -q
+WeightedDyckPath = namedtuple("WeightedDyckPath", "steps tags")
 
 
-def _path_key(p: WeightedDyckPath) -> Tuple[int, int]:
+def _path_key(p: WeightedDyckPath) -> tuple[int, int]:
     """The weight as (coefficient, exponent): the product over up-step tags."""
     tags = p.tags
     return (-1) ** tags.count(-1), len(tags) - tags.count(0)
@@ -115,14 +113,13 @@ def serialize_path(p: WeightedDyckPath) -> str:
     return "".join(parts)
 
 
-class DecoratedDyckElement(NamedTuple):
-    k: int
-    base: str  # semilength k; peak up-steps carry weight q, others 1
-    insertions: Tuple[str, ...]  # 2k+1 paths with n-k up-steps in total
-    signs: Tuple[Tuple[int, ...], ...]  # per insertion: 0 (weight 1) or -1 (-q)
+# base: semilength k; peak up-steps carry weight q, others 1
+# insertions: 2k+1 paths with n-k up-steps in total
+# signs: per insertion: 0 (weight 1) or -1 (-q)
+DecoratedDyckElement = namedtuple("DecoratedDyckElement", "k base insertions signs")
 
 
-def _base_tags(base: str) -> Tuple[int, ...]:
+def _base_tags(base: str) -> tuple[int, ...]:
     tags = []
     for i, s in enumerate(base):
         if s == "U":
@@ -146,7 +143,7 @@ def flatten(elem: DecoratedDyckElement) -> WeightedDyckPath:
     return WeightedDyckPath("".join(steps), tuple(tags))
 
 
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 1:
         yield (total,)
         return
@@ -262,7 +259,7 @@ def dbar_elements(n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _children_seqs(total: int) -> Tuple[tuple, ...]:
+def _children_seqs(total: int) -> tuple[tuple, ...]:
     """All ordered forests (tuples of shapes) with the given vertex total."""
     if total == 0:
         return ((),)
@@ -275,7 +272,7 @@ def _children_seqs(total: int) -> Tuple[tuple, ...]:
 
 
 @lru_cache(maxsize=None)
-def _tree_shapes(vertices: int) -> Tuple[tuple, ...]:
+def _tree_shapes(vertices: int) -> tuple[tuple, ...]:
     """All plane tree shapes with the given vertex count; a shape is its
     tuple of child shapes."""
     if vertices < 1:
@@ -284,7 +281,7 @@ def _tree_shapes(vertices: int) -> Tuple[tuple, ...]:
 
 
 @lru_cache(maxsize=None)
-def _shape_info(vertices: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...]:
+def _shape_info(vertices: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
     """Each plane tree shape with the given vertex count, as its out-degrees
     in pre-order, with the pre-order indices of its non-root unary vertices
     and its leaf count."""
@@ -301,7 +298,7 @@ def _shape_info(vertices: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], 
     return tuple(out)
 
 
-def _build_weighted(degrees: Tuple[int, ...], tags: list, leaf):
+def _build_weighted(degrees: tuple[int, ...], tags: list, leaf):
     """The weighted tree with these pre-order out-degrees and internal tags;
     every leaf is `leaf`.  Built bottom-up in reverse pre-order, so the next
     node's children are on top of the stack, first child last pushed."""
@@ -342,7 +339,7 @@ _FAMILY = {
 }
 
 
-def _tree_key(t) -> Tuple[int, int]:
+def _tree_key(t) -> tuple[int, int]:
     """The weight as (coefficient, exponent): the product of vertex weights."""
     coeff, exponent = 1, 0
     stack = [t]
@@ -426,7 +423,7 @@ family_Q_closed_form = partial(identities.expansion_term, "Q")
 
 
 @lru_cache(maxsize=None)
-def _complete_binary_shapes(vertices: int) -> Tuple[tuple, ...]:
+def _complete_binary_shapes(vertices: int) -> tuple[tuple, ...]:
     if vertices % 2 == 0:
         return ()
     if vertices == 1:
@@ -621,21 +618,28 @@ CERTIFICATES = (
 )
 
 
-@dataclass
 class InvolutionReport:
-    family: str
-    n: int
-    size: int
-    fixed_count: int
-    certificates: dict
-    total_weight: QPolynomial
-    fixed_weight: QPolynomial
-    pairs: list = field(default_factory=list)
-    counterexample: Optional[str] = None
-    # certificate -> failing elements (self_inverse, weight_reversal), entries
-    # by which two multisets differ (multiset_closure, fixed_set_match), or
-    # exponents at which the two weights differ (total_weight)
-    failures: dict = field(default_factory=dict)
+    """One family's certificates at size n; compared and shown field by field."""
+
+    def __init__(self, family: str, n: int, size: int, fixed_count: int, certificates: dict,
+                 total_weight: QPolynomial, fixed_weight: QPolynomial,
+                 pairs: list | None = None, counterexample: str | None = None,
+                 failures: dict | None = None):
+        self.family, self.n, self.size, self.fixed_count = family, n, size, fixed_count
+        self.certificates = certificates
+        self.total_weight, self.fixed_weight = total_weight, fixed_weight
+        self.pairs = [] if pairs is None else pairs
+        self.counterexample = counterexample
+        # certificate -> failing elements (self_inverse, weight_reversal), entries
+        # by which two multisets differ (multiset_closure, fixed_set_match), or
+        # exponents at which the two weights differ (total_weight)
+        self.failures = {} if failures is None else failures
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"InvolutionReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def certified(self) -> bool:

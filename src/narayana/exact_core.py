@@ -10,10 +10,10 @@ coefficient intake rejects a `float` or any other non-rational value.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class IndeterminateMismatchError(ValueError):

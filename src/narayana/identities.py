@@ -27,9 +27,9 @@ Sums that recur have one body each:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .exact_core import IndeterminateMismatchError, QPolynomial, binomial, horner
 from .sequences import (
@@ -52,23 +52,19 @@ _Q_ONE_PLUS_Q = QPolynomial((0, 1, 1), "q")  # q(1+q)
 _ONE_PLUS_X = QPolynomial((1, 1), "x")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    identity: str
-    n: int
-    lhs: object
-    rhs: object
-    equal: bool
+CheckResult = namedtuple("CheckResult", "identity n lhs rhs equal")
+CheckResult.__doc__ = """One check at one n, as an immutable named tuple: the identity's tag,
+n, its two exact sides, and whether they are equal."""
 
 
 def _result(identity: str, n: int, lhs, rhs) -> CheckResult:
     return CheckResult(identity, n, lhs, rhs, lhs == rhs)
 
 
-_catalan_memo = [Fraction(1)]
+_catalan_memo = [1]
 
 
-def _catalan_rec(n: int) -> Fraction:
+def _catalan_rec(n: int) -> int:
     """Catalan via the convolution recurrence; independent of the formula path."""
     while len(_catalan_memo) <= n:
         m = len(_catalan_memo)

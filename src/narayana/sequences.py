@@ -20,29 +20,29 @@ _RECURRENCES = {
 _recurrence_values: dict = {}
 
 
-def catalan(n: int) -> Fraction:
+def catalan(n: int) -> int:
     """The n-th Catalan number, exact."""
     if n < 0:
         raise ValueError(f"catalan: negative index {n}")
-    return Fraction(binomial(2 * n, n), n + 1)
+    return binomial(2 * n, n) // (n + 1)
 
 
-def catalan_half(n: int) -> Fraction:
+def catalan_half(n: int) -> int:
     """C_{n/2} with the convention that it is zero for odd n."""
     if n < 0:
         raise ValueError(f"catalan_half: negative index {n}")
     if n % 2:
-        return Fraction(0)
+        return 0
     return catalan(n // 2)
 
 
-def narayana_number(n: int, k: int) -> Fraction:
+def narayana_number(n: int, k: int) -> int:
     """N_{n,k} = (1/n) binom(n, k-1) binom(n, k), with N_{0,0} = 1."""
     if n < 0:
         raise ValueError(f"narayana_number: negative index {n}")
     if n == 0:
-        return Fraction(1 if k == 0 else 0)
-    return Fraction(binomial(n, k - 1) * binomial(n, k), n)
+        return 1 if k == 0 else 0
+    return binomial(n, k - 1) * binomial(n, k) // n
 
 
 @lru_cache(maxsize=None)

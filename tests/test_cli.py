@@ -8,7 +8,9 @@ import sys
 import pytest
 
 from narayana import combinat, exact_core, identities, sequences, series
-from narayana.cli import _CHECKS, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, TABLE_CAP, main
+from narayana.cli import (
+    _CHECKS, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, ROW_TABLE_CAP, TABLE_CAP, main,
+)
 from narayana.identities import IDENTITY_TAGS
 
 # non-identity check -> records it emits at --max-n 3
@@ -306,6 +308,23 @@ class TestTable:
         lines = out.splitlines()
         assert len(lines) == max_n + 1
         assert lines[-1].startswith(f"{max_n},")
+
+    @pytest.mark.parametrize("sequence", ["legendre", "narayana_poly", "narayana_number"])
+    def test_coefficient_rows_have_their_own_cap(self, capsys, monkeypatch, sequence):
+        # a row holds n + 1 coefficients, so these tables stop sooner
+        monkeypatch.delenv("NARAYANA_CAP", raising=False)
+        max_n = str(ROW_TABLE_CAP + 1)
+        code, out, err = run(capsys, "table", "--sequence", sequence, "--max-n", max_n)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"table: --max-n: n={max_n} exceeds cap {ROW_TABLE_CAP} "
+            "(set NARAYANA_CAP to raise it)\n"
+        )
+        monkeypatch.setenv("NARAYANA_CAP", max_n)
+        code, out, _ = run(capsys, "table", "--sequence", sequence, "--max-n", max_n)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1].startswith(f"{max_n},")
 
 
 class TestInvolution:

@@ -284,6 +284,10 @@ class TestSerialization:
         s = cb.serialize_path(p)
         assert "U" in s and "D" in s
 
+    def test_element_fields(self):
+        assert cb.WeightedDyckPath._fields == ("steps", "tags")
+        assert cb.DecoratedDyckElement._fields == ("k", "base", "insertions", "signs")
+
     def test_tree_serialization_deterministic(self):
         t = ("1", (("m1", (("q", ()),)),))
         assert cb.serialize_tree(t) == "1(m1(q))"
@@ -395,6 +399,29 @@ class TestCertifier:
             expected = _reference_report(family, n, collect_pairs)
             assert _report_fields(report) == _report_fields(expected), (family, n)
             assert report.failures == NO_FAILURES, (family, n)
+
+    def test_report_record(self):
+        # the constructor `_reference_certify` uses; fresh pairs and failures
+        # per report; fields kept in order, compared and shown one by one
+        zero = QPolynomial.zero("q")
+        a = cb.InvolutionReport("P", 2, 3, 1, {}, zero, zero, counterexample="q")
+        b = cb.InvolutionReport("P", 2, 3, 1, {}, zero, zero, pairs=[], counterexample="q")
+        assert list(vars(a)) == [
+            "family", "n", "size", "fixed_count", "certificates", "total_weight",
+            "fixed_weight", "pairs", "counterexample", "failures",
+        ]
+        assert a == b and a.pairs == [] and a.failures == {}
+        a.pairs.append(("x", "y"))
+        a.failures["self_inverse"] = 1
+        assert b.pairs == [] and b.failures == {} and a != b
+        assert cb.InvolutionReport("P", 2, 3, 1, {}, zero, zero).pairs is not b.pairs
+        assert a != ("P", 2, 3, 1, {}, zero, zero)
+        assert repr(b) == (
+            "InvolutionReport(family='P', n=2, size=3, fixed_count=1, certificates={}, "
+            f"total_weight={zero!r}, fixed_weight={zero!r}, pairs=[], counterexample='q', "
+            "failures={})"
+        )
+        assert b.certified
 
     def test_weights_are_monomials_of_their_keys(self):
         for p in cb.dbar_elements(3):

@@ -1,0 +1,35 @@
+"""`import narayana` and the CLI's set-up load only the standard library the
+arithmetic and the CLI use: none of `typing`, `dataclasses` or `inspect`,
+which together cost about as much start-up time as the package itself.
+
+The check runs in a fresh interpreter started with -S (no site packages), so
+nothing pytest or a plugin imported is counted."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+UNWANTED = ("typing", "dataclasses", "inspect")
+
+PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import narayana
+from narayana import cli
+cli.build_parser()
+print(json.dumps({"file": narayana.__file__,
+                  "loaded": [m for m in sys.argv[2:] if m in sys.modules]}))
+"""
+
+
+def test_cli_setup_imports_no_typing_dataclasses_or_inspect():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", PROBE, str(SRC), *UNWANTED],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert pathlib.Path(report["file"]).resolve().parent == SRC / "narayana"
+    assert report["loaded"] == []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from narayana import sequences
+from narayana import identities, sequences
 from narayana.exact_core import QPolynomial, binomial
 from narayana.sequences import (
     assoc_narayana_poly,
@@ -49,6 +49,14 @@ class TestCatalan:
         assert catalan_half(1) == 0
         assert catalan_half(4) == 2
         assert catalan_half(10) == catalan(5)
+
+    def test_whole_numbers_are_ints(self):
+        # exact_core's rule: a whole rational is an int, never a Fraction
+        # with denominator 1
+        values = [catalan(n) for n in range(40)] + [catalan_half(n) for n in range(40)]
+        values += [narayana_number(n, k) for n in range(20) for k in range(-1, n + 2)]
+        values += [identities._catalan_rec(n) for n in range(40)]
+        assert {type(v) for v in values} == {int}
 
 
 class TestNarayana:

@@ -7,7 +7,10 @@ Decorated elements keep the tuple structure (base path plus insertions)
 for the weight sums, which run per k over base paths and insertion sizes,
 none of which a flattened path shows.  The involution acts on flattened
 paths; no two decorated elements of one size flatten alike (checked by full
-enumeration for n <= 7), so flattening merges no elements.
+enumeration for n <= 7), so flattening merges no elements.  Its paths are
+enumerated flat, each insertion tuple's steps joined once for all its sign
+patterns; `flatten` stays as the reference they are tested against.  phi
+reads each word's primitive components from a per-word cache.
 
 Weighted plane trees are nested pairs (tag, children).  Tags: "1" unmarked
 internal, "q"/"q2" leaf, "m1" marked unary -1, "mq" marked unary -q,
@@ -152,15 +155,47 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def iter_family_D(n: int, k: int) -> Iterator[DecoratedDyckElement]:
+def _family_D_frames(n: int, k: int) -> Iterator[tuple[str, tuple[int, ...], Iterator]]:
+    """Each (base, composition, insertion tuples) of family D at (n, k): the
+    loop nest both D enumerators share."""
     if not 0 <= k <= n:
         return
     for base in _dyck_paths(k):
         for comp in _compositions(n - k, 2 * k + 1):
-            for paths in product(*[_dyck_paths(m) for m in comp]):
-                sign_spaces = [product((0, -1), repeat=m) for m in comp]
-                for signs in product(*sign_spaces):
-                    yield DecoratedDyckElement(k, base, paths, signs)
+            yield base, comp, product(*[_dyck_paths(m) for m in comp])
+
+
+def iter_family_D(n: int, k: int) -> Iterator[DecoratedDyckElement]:
+    for base, comp, tuples in _family_D_frames(n, k):
+        for paths in tuples:
+            sign_spaces = [product((0, -1), repeat=m) for m in comp]
+            for signs in product(*sign_spaces):
+                yield DecoratedDyckElement(k, base, paths, signs)
+
+
+def _iter_flat_family_D(n: int, k: int) -> Iterator[WeightedDyckPath]:
+    """`flatten(e)` for each e of `iter_family_D(n, k)`, in the same order.
+
+    An insertion tuple's steps are joined once.  Its sign patterns, read
+    left to right, are `product((0, -1), repeat=n - k)` in order; the base's
+    peak tags sit at fixed cut points between them, so one tag tuple per
+    pattern serves every insertion tuple of the (base, composition)."""
+    for base, comp, tuples in _family_D_frames(n, k):
+        base_tags = iter(_base_tags(base))
+        spaces = []
+        for m, step in zip(comp, base):
+            spaces += [(0, -1)] * m
+            if step == "U":
+                spaces.append((next(base_tags),))
+        spaces += [(0, -1)] * comp[-1]
+        tag_tuples = list(product(*spaces))
+        parts = [""] * (4 * k + 1)  # insertions at even places, base steps at odd
+        parts[1::2] = base
+        for paths in tuples:
+            parts[::2] = paths
+            steps = "".join(parts)
+            for tags in tag_tuples:
+                yield WeightedDyckPath(steps, tags)
 
 
 def enumerate_family_D(n: int, k: int) -> list:
@@ -202,6 +237,25 @@ def _is_unweighted(p: WeightedDyckPath) -> bool:
     return not any(p.tags)
 
 
+@lru_cache(maxsize=None)
+def _components(steps: str) -> tuple[tuple[int, int, tuple], ...]:
+    """The primitive components of a Dyck word, rightmost first, each as
+    (first tag index, end tag index, the interior's components); indices
+    count up-steps from the start of the word."""
+    comps = []
+    height = start = t = tstart = 0
+    for i, step in enumerate(steps):
+        if step == "U":
+            height += 1
+            t += 1
+        else:
+            height -= 1
+        if not height:
+            comps.append((tstart, t, _components(steps[start + 1:i])))
+            start, tstart = i + 1, t
+    return tuple(reversed(comps))
+
+
 def phi(p: WeightedDyckPath) -> WeightedDyckPath:
     """Sign-reversing involution on weighted Dyck paths with some +-q weight.
 
@@ -211,35 +265,19 @@ def phi(p: WeightedDyckPath) -> WeightedDyckPath:
     """
     if _is_unweighted(p):
         raise FixedElementError("phi is undefined on all-1-weighted paths")
-    steps, tags = p.steps, list(p.tags)
-    _phi_in_place(steps, tags, 0, len(steps), 0)
-    return WeightedDyckPath(steps, tuple(tags))
-
-
-def _phi_in_place(steps: str, tags: list, lo: int, hi: int, tag_lo: int):
-    """Apply the flip inside steps[lo:hi]; tag_lo indexes its first up-step."""
-    # locate primitive components and the tag range of each
-    comps = []
-    height = 0
-    start, tstart, t = lo, tag_lo, tag_lo
-    for i in range(lo, hi):
-        if steps[i] == "U":
-            height += 1
-            t += 1
+    tags = p.tags
+    comps, offset = _components(p.steps), 0
+    while True:
+        for i, j, interior in comps:
+            if any(tags[offset + i:offset + j]):
+                break
         else:
-            height -= 1
-        if height == 0:
-            comps.append((start, i + 1, tstart, t))
-            start, tstart = i + 1, t
-    for si, sj, ti, tj in reversed(comps):
-        if any(tags[x] for x in range(ti, tj)):
-            if tags[ti]:
-                tags[ti] = -tags[ti]
-            else:
-                # first up-step weighs 1: recurse into the interior u...d
-                _phi_in_place(steps, tags, si + 1, sj - 1, ti + 1)
-            return
-    raise AssertionError("no component carries a +-q weight")
+            raise AssertionError("no component carries a +-q weight")
+        i += offset
+        if tags[i]:
+            return WeightedDyckPath(p.steps, tags[:i] + (-tags[i],) + tags[i + 1:])
+        # first up-step weighs 1: recurse into the interior u...d
+        comps, offset = interior, i + 1
 
 
 def dbar_elements(n: int) -> list:
@@ -707,8 +745,8 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
         reversed_ok = img_key == (-coeff, exponent)
         inverse_ok = apply(img) == e
         if reversed_ok and inverse_ok:
-            due = open_pairs[img][2] if img in open_pairs else 0
-            open_pairs[img] = (e, img_key, due + 1)
+            met = open_pairs.get(img)
+            open_pairs[img] = (e, img_key, 1 if met is None else met[2] + 1)
         else:
             closure[e] += 1
             closure[img] -= 1
@@ -748,7 +786,7 @@ def _involution(family: str):
     attribute replaced since import is what runs."""
     if family == "D":
         return (
-            FAMILY_D_CAP, lambda n, k: map(flatten, iter_family_D(n, k)), _is_unweighted,
+            FAMILY_D_CAP, _iter_flat_family_D, _is_unweighted,
             phi, _path_key, serialize_path,
             lambda n: (WeightedDyckPath(p, (0,) * n) for p in _dyck_paths(n)),
         )

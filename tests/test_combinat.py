@@ -85,6 +85,65 @@ class TestFamilyD:
             assert cb.phi(image) == p
             assert cb.path_weight(image) == -cb.path_weight(p)
 
+    def test_flat_enumeration_is_flatten_in_order(self):
+        for n in range(7):
+            for k in range(-1, n + 2):
+                flat = list(cb._iter_flat_family_D(n, k))
+                assert flat == [cb.flatten(e) for e in cb.iter_family_D(n, k)], (n, k)
+                assert bool(flat) == (0 <= k <= n), (n, k)
+
+    def test_phi_matches_component_scan(self):
+        # every moving path of D and of its all-(+-q) subfamily, n <= 6
+        for n in range(7):
+            flat = [p for k in range(n + 1) for p in cb._iter_flat_family_D(n, k)]
+            for p in flat + cb.dbar_elements(n):
+                if any(p.tags):
+                    assert cb.phi(p) == _reference_phi(p), p
+
+    def test_phi_rejects_unweighted_paths(self):
+        for n in range(5):
+            for steps in cb.enumerate_dyck(n):
+                with pytest.raises(cb.FixedElementError):
+                    cb.phi(cb.WeightedDyckPath(steps, (0,) * n))
+
+    def test_components_cached_once_per_word(self):
+        # at most one entry per Dyck word of semilength <= 6: C_0 + ... + C_6
+        cb._components.cache_clear()
+        assert cb.involution_verify("D", 6).certified
+        assert 0 < cb._components.cache_info().currsize <= sum(map(catalan, range(7))) == 197
+
+
+def _reference_phi(p):
+    """phi as a scan of the primitive components of each level in turn: find
+    the rightmost one holding a +-q weight, then flip its first up-step or
+    descend into its interior."""
+    steps, tags = p.steps, list(p.tags)
+
+    def flip(lo, hi, tag_lo):
+        comps = []
+        height = 0
+        start, tstart, t = lo, tag_lo, tag_lo
+        for i in range(lo, hi):
+            if steps[i] == "U":
+                height += 1
+                t += 1
+            else:
+                height -= 1
+            if height == 0:
+                comps.append((start, i + 1, tstart, t))
+                start, tstart = i + 1, t
+        for si, sj, ti, tj in reversed(comps):
+            if any(tags[x] for x in range(ti, tj)):
+                if tags[ti]:
+                    tags[ti] = -tags[ti]
+                else:
+                    flip(si + 1, sj - 1, ti + 1)
+                return
+        raise AssertionError("no component carries a +-q weight")
+
+    flip(0, len(steps), 0)
+    return cb.WeightedDyckPath(steps, tuple(tags))
+
 
 class TestFamilyP:
     def test_base_case(self):
@@ -555,8 +614,10 @@ class TestCertificateMutants:
     def test_mutant_on_repeated_paths(self, monkeypatch):
         # D's flattened paths are all distinct at n <= 6, so the enumeration
         # here yields every moving element twice, as a non-injective flatten
-        # would; each pair then opens and closes twice
-        real_iter = cb.iter_family_D
+        # would; each pair then opens and closes twice.  Both D enumerators
+        # are doubled: the flat one feeds `involution_verify`, and the
+        # decorated one the reference certifier
+        real_iter, real_flat = cb.iter_family_D, cb._iter_flat_family_D
 
         def doubled(n, k):
             for e in real_iter(n, k):
@@ -564,7 +625,14 @@ class TestCertificateMutants:
                 if not cb._is_unweighted(cb.flatten(e)):
                     yield e
 
+        def doubled_flat(n, k):
+            for p in real_flat(n, k):
+                yield p
+                if not cb._is_unweighted(p):
+                    yield p
+
         monkeypatch.setattr(cb, "iter_family_D", doubled)
+        monkeypatch.setattr(cb, "_iter_flat_family_D", doubled_flat)
         report = _report_against_reference("D", 3)
         assert report.failures == NO_FAILURES and report.size == 2 * 101 - 5
         # p goes to a path one semilength longer with its true image's

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -289,7 +290,14 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors; remap to the usage code
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: what is still
+        # buffered goes to devnull, so the exit flush raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except combinat.EnumerationCapError as exc:  # every cap is checked before output
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,9 +1,16 @@
 """Identity registry: every displayed identity evaluated as exact left/right
 sides, plus the Legendre, left-inversion, and binomial inverse relations.
 
-Each identity's two sides are computed through deliberately disjoint helper
-paths (e.g. Catalan via the closed binomial formula on one side and via the
-convolution recurrence on the other) so a shared bug cannot self-certify.
+Each identity is one `_REGISTRY` row holding its two sides as separate
+callables, and the sides run on different helpers (e.g. Catalan via the
+closed binomial formula on one side and via the convolution recurrence on
+the other) so a shared bug cannot self-certify.  Both sides may use
+`binomial` and the `QPolynomial` ring operations; beyond those the only
+helpers both sides of a check reach, as `TestSideIndependence` pins, are
+- `horner` for `coker_b1`, which sums both sides by Horner's rule;
+- `legendre_poly`, `QPolynomial.substitute` and `horner` for
+  `legendre_reflection`, which reflects one Legendre polynomial, as a
+  reflection symmetry must.
 
 Most sides are sums sum_k a_k(q) B(q)^(m-k) with B one of 1 +- q, q - 1,
 -1 - q, q(1 + q) or +-(1 +- q)^2.  Each is evaluated by `exact_core.horner`:
@@ -82,41 +89,13 @@ def _narayana_direct(n: int) -> list:
 # -- the individual identities ------------------------------------------------
 
 
-def _coker_a1(n: int):
-    lhs = QPolynomial(_narayana_direct(n), "q")
+def _coker_a1_rhs(n: int) -> QPolynomial:
     # sum_k a_k q^k (1+q)^(n-1-2k), with (1+q)^((n-1) mod 2) factored out
     rhs = horner(_ONE_PLUS_Q_SQUARED, (
         QPolynomial.monomial(binomial(n - 1, 2 * k) * catalan(k), k, "q")
         for k in range((n - 1) // 2 + 1)
     ))
-    return lhs, rhs * _ONE_PLUS_Q if (n - 1) % 2 else rhs
-
-
-def _coker_b1(n: int):
-    # sum_k N_{n,k} q^(2(k-1)) ((1+q)^2)^(n-k)
-    lhs = horner(_ONE_PLUS_Q_SQUARED, (
-        QPolynomial.monomial(c, 2 * i, "q") for i, c in enumerate(_narayana_direct(n))
-    ))
-    rhs = horner(_Q_ONE_PLUS_Q, (
-        binomial(n - 1, k) * catalan(k + 1) for k in range(n - 1, -1, -1)
-    ))
-    return lhs, rhs
-
-
-def _new_expansion_c1(n: int):
-    lhs = narayana_poly(n)
-    rhs = horner(_Q_MINUS_ONE, (
-        binomial(n + 1, k) * binomial(2 * n - k, n) for k in range(n, -1, -1)
-    ))
-    return lhs, rhs * Fraction(1, n + 1)
-
-
-def _equivalent_b2(n: int):
-    lhs = narayana_poly(n)
-    rhs = horner(_Q_MINUS_ONE, (
-        Fraction(binomial(n + k, n - k) * binomial(2 * k, k), k + 1) for k in range(n + 1)
-    ))
-    return lhs, rhs
+    return rhs * _ONE_PLUS_Q if (n - 1) % 2 else rhs
 
 
 def _at_q_squared(p: QPolynomial) -> QPolynomial:
@@ -154,50 +133,18 @@ def expansion_term(family: str, n: int, k: int) -> QPolynomial:
     return summand(n, k) * base ** (n - k)
 
 
-def _parity(n: int):
-    lhs = narayana_poly(n)(-1)
-    if n % 2 == 0:
-        rhs = Fraction(0)
-    else:
-        r = (n - 1) // 2
-        rhs = (-1) ** (r + 1) * catalan(r)
-    return lhs, rhs
-
-
-def _simons_aa(n: int):
-    cs = [binomial(n + k, n - k) * binomial(2 * k, k) for k in range(n + 1)]
-    lhs = horner(_ONE_PLUS_X, ((-1) ** (n - k) * cs[k] for k in range(n, -1, -1)))
-    return lhs, QPolynomial(cs, "x")
-
-
-def _legendre_reflection(n: int):
-    p = legendre_poly(n, "standard")
-    lhs = (-1) ** n * p.substitute(QPolynomial((-1, -2), "x"))
-    rhs = p.substitute(QPolynomial((1, 2), "x"))
-    return lhs, rhs
-
-
 def f_poly(n: int) -> QPolynomial:
     """f_n(q) = sum_{k=0}^{2n+1} (-1)^k binom(2n+1,k) N_{k+1}(q) (1+q)^{2n+1-k},
     which is minus (3.8)'s sum at 2n+1."""
     return -expansion("P", 2 * n + 1)
 
 
-def _alt_sum_310(n: int):
-    lhs = sum(
-        Fraction((-1) ** k * (2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
-        for k in range(n + 1)
-    )
-    return lhs, Fraction(0)
-
-
-def _app_pow2(n: int):
-    lhs = (2**n - 1) * catalan(n)
+def _app_pow2_rhs(n: int) -> Fraction:
     rhs = Fraction(0)
     for r in range((n - 1) // 2 + 1):
         c = Fraction((4 * r + 3) * binomial(2 * n + 1, n - 2 * r - 1), 2 * n + 1)
         rhs += (-1) ** r * c * 2 ** (n - 2 * r - 1) * _catalan_rec(r)
-    return lhs, rhs
+    return rhs
 
 
 def _alternating_catalan(m: int, b: int) -> Fraction:
@@ -207,61 +154,80 @@ def _alternating_catalan(m: int, b: int) -> Fraction:
     ))
 
 
-def _app_touchard(n: int):
-    lhs = catalan(n + 1)
-    rhs = sum(
-        binomial(n, 2 * k) * _catalan_rec(k) * 2 ** (n - 2 * k)
-        for k in range(n // 2 + 1)
-    )
-    return lhs, Fraction(rhs)
-
-
-def _app_recurrence(n: int, point: int, seq, shift: int, powers_of_two: bool):
-    """point^{n+1} C_{m+1} = sum_{k=0}^{m} (-1)^k binom(m, k) N_{k+1}(point) G_j [2^j]
-    with m = 2n + (shift > 0), j = 4n - 2k + shift and G = seq."""
+def _app_recurrence(n: int, point: int, seq, shift: int, powers_of_two: bool) -> Fraction:
+    """sum_{k=0}^{m} (-1)^k binom(m, k) N_{k+1}(point) G_j [2^j], the rhs of
+    point^{n+1} C_{m+1}, with m = 2n + (shift > 0), j = 4n - 2k + shift and
+    G = seq."""
     m = 2 * n + (shift > 0)
-    lhs = point ** (n + 1) * catalan(m + 1)
     rhs = Fraction(0)
     for k in range(m + 1):
         j = 4 * n - 2 * k + shift
         term = binomial(m, k) * narayana_poly(k + 1)(point) * seq(j)
         rhs += (-1) ** k * (term * Fraction(2) ** j if powers_of_two else term)
-    return lhs, rhs
+    return rhs
 
 
-# tag -> (minimum admissible n, evaluator returning (lhs, rhs))
+# tag -> (minimum admissible n, lhs(n), rhs(n)).  Each side names its helpers
+# inside a lambda or a function, so a replaced module attribute is what runs.
 _REGISTRY = {
-    "coker_a1": (1, _coker_a1),
-    "coker_b1": (1, _coker_b1),
-    "new_expansion_c1": (0, _new_expansion_c1),
-    "equivalent_b2": (0, _equivalent_b2),
+    "coker_a1": (1, lambda n: QPolynomial(_narayana_direct(n), "q"), _coker_a1_rhs),
+    # sum_k N_{n,k} q^(2(k-1)) ((1+q)^2)^(n-k) = sum_k binom(n-1, k) C_{k+1} (q(1+q))^k
+    "coker_b1": (1, lambda n: horner(_ONE_PLUS_Q_SQUARED, (
+        QPolynomial.monomial(c, 2 * i, "q") for i, c in enumerate(_narayana_direct(n))
+    )), lambda n: horner(_Q_ONE_PLUS_Q, (
+        binomial(n - 1, k) * catalan(k + 1) for k in range(n - 1, -1, -1)
+    ))),
+    "new_expansion_c1": (0, lambda n: narayana_poly(n), lambda n: horner(_Q_MINUS_ONE, (
+        binomial(n + 1, k) * binomial(2 * n - k, n) for k in range(n, -1, -1)
+    )) * Fraction(1, n + 1)),
+    "equivalent_b2": (0, lambda n: narayana_poly(n), lambda n: horner(_Q_MINUS_ONE, (
+        Fraction(binomial(n + k, n - k) * binomial(2 * k, k), k + 1) for k in range(n + 1)
+    ))),
     # the expansions (3.7)-(3.9); (3.8)'s lhs is zero for odd n
-    "main_37": (0, lambda n: (QPolynomial.constant(_catalan_rec(n), "q"), expansion("D", n))),
-    "main_38": (0, lambda n: (
-        QPolynomial.monomial(catalan_half(n), n // 2 + 1, "q"), expansion("P", n)
-    )),
-    "main_39": (0, lambda n: (
-        QPolynomial.monomial(catalan(n + 1), n + 2, "q"), expansion("Q", n)
-    )),
+    "main_37": (0, lambda n: QPolynomial.constant(_catalan_rec(n), "q"),
+                lambda n: expansion("D", n)),
+    "main_38": (0, lambda n: QPolynomial.monomial(catalan_half(n), n // 2 + 1, "q"),
+                lambda n: expansion("P", n)),
+    "main_39": (0, lambda n: QPolynomial.monomial(catalan(n + 1), n + 2, "q"),
+                lambda n: expansion("Q", n)),
     # holds only from n=1: the convention here sets the zeroth Narayana
-    # polynomial to 1, so its value at -1 is 1, not 0
-    "parity": (1, _parity),
-    "simons_aa": (0, _simons_aa),
-    "legendre_reflection": (0, _legendre_reflection),
-    "lemma_f_zero": (0, lambda n: (f_poly(n), QPolynomial.zero("q"))),
-    "catlan2": (0, lambda n: (QPolynomial.monomial(catalan(n), n + 1, "q"), expansion("P", 2 * n))),
-    "alt_sum_310": (1, _alt_sum_310),
-    "app_pow2": (0, _app_pow2),
+    # polynomial to 1, so its value at -1 is 1, not 0; for odd n the rhs is
+    # (-1)^(r+1) C_r with r = (n-1)/2 = n // 2
+    "parity": (1, lambda n: narayana_poly(n)(-1),
+               lambda n: (-1) ** (n // 2 + 1) * catalan(n // 2) if n % 2 else Fraction(0)),
+    "simons_aa": (0, lambda n: horner(_ONE_PLUS_X, (
+        (-1) ** (n - k) * binomial(n + k, n - k) * binomial(2 * k, k) for k in range(n, -1, -1)
+    )), lambda n: QPolynomial(
+        [binomial(n + k, n - k) * binomial(2 * k, k) for k in range(n + 1)], "x"
+    )),
+    "legendre_reflection": (
+        0,
+        lambda n: (-1) ** n * legendre_poly(n, "standard").substitute(QPolynomial((-1, -2), "x")),
+        lambda n: legendre_poly(n, "standard").substitute(QPolynomial((1, 2), "x")),
+    ),
+    "lemma_f_zero": (0, lambda n: f_poly(n), lambda n: QPolynomial.zero("q")),
+    "catlan2": (0, lambda n: QPolynomial.monomial(catalan(n), n + 1, "q"),
+                lambda n: expansion("P", 2 * n)),
+    "alt_sum_310": (1, lambda n: sum(
+        Fraction((-1) ** k * (2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
+        for k in range(n + 1)
+    ), lambda n: Fraction(0)),
+    "app_pow2": (0, lambda n: (2**n - 1) * catalan(n), _app_pow2_rhs),
     # (3.8) at q = 1 and (3.9) at q = -1
-    "app_q1_38": (0, lambda n: (catalan(n), _alternating_catalan(2 * n, 2))),
-    "app_qm1_39": (0, lambda n: (catalan(n + 1), _alternating_catalan(n, 4))),
-    "app_touchard": (0, _app_touchard),
-    # the rows name pell, lucas and fibonacci inside a lambda, so a replaced
-    # module attribute is what runs
-    "app_pell_odd": (0, lambda n: _app_recurrence(n, 2, pell, -1, False)),
-    "app_pell_even": (0, lambda n: _app_recurrence(n, 2, pell, 2, False)),
-    "app_lucas": (0, lambda n: _app_recurrence(n, 5, lucas, -1, True)),
-    "app_fibonacci": (0, lambda n: _app_recurrence(n, 5, fibonacci, 1, True)),
+    "app_q1_38": (0, lambda n: catalan(n), lambda n: _alternating_catalan(2 * n, 2)),
+    "app_qm1_39": (0, lambda n: catalan(n + 1), lambda n: _alternating_catalan(n, 4)),
+    "app_touchard": (0, lambda n: catalan(n + 1), lambda n: Fraction(sum(
+        binomial(n, 2 * k) * _catalan_rec(k) * 2 ** (n - 2 * k) for k in range(n // 2 + 1)
+    ))),
+    # point^{n+1} C_{m+1} against _app_recurrence(n, point, G, shift, ...)
+    "app_pell_odd": (0, lambda n: 2 ** (n + 1) * catalan(2 * n + 1),
+                     lambda n: _app_recurrence(n, 2, pell, -1, False)),
+    "app_pell_even": (0, lambda n: 2 ** (n + 1) * catalan(2 * n + 2),
+                      lambda n: _app_recurrence(n, 2, pell, 2, False)),
+    "app_lucas": (0, lambda n: 5 ** (n + 1) * catalan(2 * n + 1),
+                  lambda n: _app_recurrence(n, 5, lucas, -1, True)),
+    "app_fibonacci": (0, lambda n: 5 ** (n + 1) * catalan(2 * n + 2),
+                      lambda n: _app_recurrence(n, 5, fibonacci, 1, True)),
 }
 
 IDENTITY_TAGS = tuple(_REGISTRY)
@@ -277,11 +243,10 @@ def check_identity(tag: str, n: int) -> CheckResult:
     """Evaluate both sides of the tagged identity at n, exactly."""
     if tag not in _REGISTRY:
         raise ValueError(f"unknown identity tag {tag!r}")
-    min_n, evaluate = _REGISTRY[tag]
+    min_n, lhs, rhs = _REGISTRY[tag]
     if n < min_n:
         raise ValueError(f"identity {tag} requires n >= {min_n}, got {n}")
-    lhs, rhs = evaluate(n)
-    return _result(tag, n, lhs, rhs)
+    return _result(tag, n, lhs(n), rhs(n))
 
 
 def integral_representation_check(n: int) -> CheckResult:

@@ -466,6 +466,27 @@ class TestErrorContract:
         assert out == ""
         assert err == f"error: {exc}\n"
 
+    # each prints far more than a pipe and the reader's buffer hold
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--identity", "all", "--max-n", "50"],
+        ["involution", "--family", "Q", "--n", "5", "--emit-pairs"],
+    ])
+    def test_closed_pipe_exits_without_traceback(self, argv):
+        # as `narayana ... | head -n 1`: the reader closes after one line
+        root = pathlib.Path(__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from narayana.cli import main; sys.exit(main())", *argv],
+            cwd=root, env={"PYTHONPATH": str(root / "src")},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_USAGE
+        assert err == ""  # no traceback, and no "Exception ignored" at exit
+
 
 class TestBenchContract:
     """bench/layers.py wraps and reads these names; a refactor that drops one

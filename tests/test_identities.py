@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narayana import exact_core, identities, sequences
+from narayana import combinat, exact_core, identities, sequences, series
 from narayana.exact_core import IndeterminateMismatchError, QPolynomial, binomial
 from narayana.identities import (
     IDENTITY_TAGS,
@@ -715,6 +717,14 @@ _MUTANTS = {
     # two mutants of one helper: the name before the slash is what is patched
     "horner/reversed": lambda real: lambda base, terms: real(base, list(terms)[::-1]),
     "horner/undivided": lambda real: partial(_undivided_horner, real),
+    # the helpers that compute one side of a registry row
+    "expansion": lambda real: lambda family, n: real(family, n) + (_Q if n == 5 else 0),
+    "_at_q_squared": lambda real: lambda p: real(p) + (_Q if p.degree == 4 else 0),
+    "_narayana_direct": lambda real: lambda n: [
+        c + (n == 5 and i == 1) for i, c in enumerate(real(n))
+    ],
+    "_alternating_catalan": lambda real: lambda m, b: real(m, b) + (m == 4),
+    "_app_recurrence": lambda real: lambda n, *rest: real(n, *rest) + (n == 3),
 }
 
 # helper -> the checks that fail for some n <= 8 under its mutant; up to
@@ -748,6 +758,12 @@ _CAUGHT_BY = {
     # not coker_b1: its terms binomial * catalan are ints, which this mutant
     # leaves as they are
     "horner/undivided": {"equivalent_b2"},
+    # (3.8)'s sum at m = 5 is -f_2; catlan2 sums it at even m only
+    "expansion": {"lemma_f_zero", "main_37", "main_38", "main_39"},
+    "_at_q_squared": {"main_39"},
+    "_narayana_direct": {"coker_a1", "coker_b1"},
+    "_alternating_catalan": {"app_q1_38", "app_qm1_39"},
+    "_app_recurrence": {"app_fibonacci", "app_lucas", "app_pell_even", "app_pell_odd"},
 }
 
 
@@ -782,3 +798,75 @@ class TestMutationAudit:
         for n in range(2, _AUDIT_MAX_N + 1):
             assert check_identity("lemma_f_zero", n).equal, n
             assert not lemma_difference_argument(n), n
+
+
+# -- the two sides of each check, run apart ----------------------------------------
+
+# what both sides of a check may share without it certifying itself: binomial,
+# exact coefficient intake and the QPolynomial ring operations
+_RING = {"binomial", "_as_scalar"} | {f"QPolynomial.{name}" for name in (
+    "__init__", "zero", "one", "constant", "monomial", "_coerce", "_join_var", "degree",
+    "is_zero", "is_constant", "coefficient", "__add__", "__neg__", "__sub__", "__rsub__",
+    "__mul__", "__pow__", "__call__", "__eq__",
+)}
+
+# tag -> the narayana functions past _RING that both of its sides reach; the
+# overlaps the identities docstring lists, and none for every other tag
+_SHARED = {
+    "coker_b1": {"horner"},
+    "legendre_reflection": {"horner", "QPolynomial.substitute", "legendre_poly"},
+}
+
+
+def _qualnames() -> dict:
+    """code object -> qualified name of each function and method the narayana
+    modules define (a lambda or a comprehension has none).  Read from the
+    functions, not from the frames, as Python 3.10's code has no qualname."""
+    names = {}
+    for module in (combinat, exact_core, identities, sequences, series):
+        for obj in vars(module).values():
+            for f in vars(obj).values() if isinstance(obj, type) else (obj,):
+                f = inspect.unwrap(getattr(f, "fget", getattr(f, "__func__", f)))
+                if getattr(f, "__module__", None) == module.__name__ and hasattr(f, "__code__"):
+                    names[f.__code__] = f.__qualname__
+    return names
+
+
+def _reached(side, n: int, names: dict) -> set:
+    """The narayana functions that side(n) enters.  The narayana_poly and
+    legendre_poly caches are cleared first, as a cache hit enters no frame."""
+    sequences.narayana_poly.cache_clear()
+    sequences.legendre_poly.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            entered.add(names[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        side(n)
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def _shared(tag: str) -> set:
+    """The narayana functions past _RING that both sides of tag reach at
+    n = max(min_n, 5), each side run alone."""
+    min_n, lhs, rhs = identities._REGISTRY[tag]
+    n, names = max(min_n, 5), _qualnames()
+    return (_reached(lhs, n, names) & _reached(rhs, n, names)) - _RING
+
+
+class TestSideIndependence:
+    @pytest.mark.parametrize("tag", IDENTITY_TAGS)
+    def test_shared_helpers(self, tag):
+        assert _shared(tag) == _SHARED.get(tag, set())
+
+    def test_a_shared_helper_shows(self, monkeypatch):
+        # the footprint is live: new_expansion_c1 with its lhs as its rhs too
+        # shares narayana_poly, whose cached result would otherwise hide it
+        min_n, lhs, _ = identities._REGISTRY["new_expansion_c1"]
+        monkeypatch.setitem(identities._REGISTRY, "new_expansion_c1", (min_n, lhs, lhs))
+        assert _shared("new_expansion_c1") == {"narayana_poly", "narayana_number"}

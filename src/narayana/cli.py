@@ -202,6 +202,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_involution(args) -> int:
+    if args.n < 0:
+        print(f"involution: --n must be nonnegative, got {args.n}", file=sys.stderr)
+        return EXIT_USAGE
     report = combinat.involution_verify(args.family, args.n, collect_pairs=args.emit_pairs)
     print(
         f"family={report.family} n={report.n} "

@@ -12,10 +12,16 @@ enumerated flat, each insertion tuple's steps joined once for all its sign
 patterns; `flatten` stays as the reference they are tested against.  phi
 reads each word's primitive components from a per-word cache.
 
-Weighted plane trees are nested pairs (tag, children).  Tags: "1" unmarked
-internal, "q"/"q2" leaf, "m1" marked unary -1, "mq" marked unary -q,
-"mq2" marked unary -q^2, "2q" marked unary 2q (family Q only, treated as
-transparent by the structural tests).
+Weighted plane trees are nested pairs (tag, children) in the public
+functions.  Tags: "1" unmarked internal, "q"/"q2" leaf, "m1" marked unary -1,
+"mq" marked unary -q, "mq2" marked unary -q^2, "2q" marked unary 2q (family Q
+only, treated as transparent by the structural tests).  The P/Q certifier
+works on pre-order words instead (Lukasiewicz words): a tree is one flat tuple
+of shared tokens, one per vertex in pre-order, each naming the vertex's tag
+and out-degree.  The family enumerates words straight from its shapes' degree
+sequences; a word's weight is one pass over its tokens, and psi's case (a)
+one token scan and one splice.  The public tree functions are thin adapters
+over the word code.
 """
 
 from __future__ import annotations
@@ -204,8 +210,9 @@ def enumerate_family_D(n: int, k: int) -> list:
 
 
 def family_D_weight(n: int, k: int) -> QPolynomial:
-    """Weight sum over the decorated family: base paths and insertion tuples
-    enumerated, the sign patterns of the insertions tallied once."""
+    """Weight sum over the decorated family: base paths enumerated, the
+    insertion tuples counted and the sign patterns of the insertions tallied
+    once."""
     _check_cap(n, FAMILY_D_CAP, "family_D_weight")
     if not 0 <= k <= n:
         return QPolynomial.zero("q")
@@ -216,13 +223,15 @@ def family_D_weight(n: int, k: int) -> QPolynomial:
     for bits in range(1 << u):
         j = bits.bit_count()
         signs[j] += -1 if j & 1 else 1
+    # and every base path takes the same insertion tuples
+    n_tuples = sum(
+        prod(len(_dyck_paths(m)) for m in comp) for comp in _compositions(u, 2 * k + 1)
+    )
     counts = [0] * (n + 1)
     for base in _dyck_paths(k):
         peaks = sum(_base_tags(base))
-        for comp in _compositions(u, 2 * k + 1):
-            n_tuples = prod(len(_dyck_paths(m)) for m in comp)
-            for j, coeff in signs.items():
-                counts[peaks + j] += n_tuples * coeff
+        for j, coeff in signs.items():
+            counts[peaks + j] += n_tuples * coeff
     return QPolynomial(counts, "q")
 
 
@@ -281,15 +290,25 @@ def phi(p: WeightedDyckPath) -> WeightedDyckPath:
 
 
 def dbar_elements(n: int) -> list:
-    """The all-(+-q) subfamily: base (UD)^k with q-peaks, insertions all -q."""
+    """The all-(+-q) subfamily: base (UD)^k with q-peaks, insertions all -q.
+    Each composition has one tag tuple, and each insertion tuple's steps are
+    joined around the base once, as in `_iter_flat_family_D`."""
     _check_cap(n, FAMILY_D_CAP, "dbar_elements")
     out = []
     for k in range(n + 1):
         base = "UD" * k
+        parts = [""] * (4 * k + 1)  # insertions at even places, base steps at odd
+        parts[1::2] = base
         for comp in _compositions(n - k, 2 * k + 1):
+            tags = []
+            for m, step in zip(comp, base):
+                tags += [-1] * m
+                if step == "U":
+                    tags.append(1)
+            tags = tuple(tags + [-1] * comp[-1])
             for paths in product(*[_dyck_paths(m) for m in comp]):
-                signs = tuple((-1,) * m for m in comp)
-                out.append(flatten(DecoratedDyckElement(k, base, paths, signs)))
+                parts[::2] = paths
+                out.append(WeightedDyckPath("".join(parts), tags))
     return out
 
 
@@ -336,22 +355,13 @@ def _shape_info(vertices: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], 
     return tuple(out)
 
 
-def _build_weighted(degrees: tuple[int, ...], tags: list, leaf):
-    """The weighted tree with these pre-order out-degrees and internal tags;
-    every leaf is `leaf`.  Built bottom-up in reverse pre-order, so the next
-    node's children are on top of the stack, first child last pushed."""
-    stack = []
-    for i in range(len(degrees) - 1, -1, -1):
-        d = degrees[i]
-        if not d:
-            stack.append(leaf)
-        elif d == 1:
-            stack.append((tags[i], (stack.pop(),)))
-        else:
-            children = tuple(stack[-1:-d - 1:-1])
-            del stack[-d:]
-            stack.append((tags[i], children))
-    return stack[0]
+@lru_cache(maxsize=None)
+def _shape_tally(vertices: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """How many shapes with the given vertex count have each (non-root unary
+    count, leaf count)."""
+    return tuple(Counter(
+        (len(unary), leaves) for _, unary, leaves in _shape_info(vertices)
+    ).items())
 
 
 _TAG_WEIGHTS = {
@@ -377,51 +387,112 @@ _FAMILY = {
 }
 
 
-def _tree_key(t) -> tuple[int, int]:
-    """The weight as (coefficient, exponent): the product of vertex weights."""
-    coeff, exponent = 1, 0
+# A tree as a word: its vertices in pre-order, each one shared token, a small
+# int that names the vertex's tag and out-degree.  Tokens are interned on first
+# use, so a token's number means something only within one process; 0 and 1
+# are the unary "1" and "m1" vertices, which psi's case (a) swaps.
+_TOKENS = [("1", 1), ("m1", 1)]  # token -> (tag, out-degree)
+_TOKEN_KEYS = [_TAG_WEIGHTS["1"], _TAG_WEIGHTS["m1"]]  # token -> (coefficient, exponent)
+_TOKEN_IDS = {("1", 1): 0, ("m1", 1): 1}
+
+
+def _token(tag: str, degree: int) -> int:
+    token = _TOKEN_IDS.get((tag, degree))
+    if token is None:
+        token = _TOKEN_IDS[tag, degree] = len(_TOKENS)
+        _TOKENS.append((tag, degree))
+        _TOKEN_KEYS.append(_TAG_WEIGHTS.get(tag))
+    return token
+
+
+def _word(t) -> tuple[int, ...]:
+    """The pre-order word of a nested tree."""
+    out = []
     stack = [t]
     while stack:
         tag, children = stack.pop()
-        c, e = _TAG_WEIGHTS[tag]
+        out.append(_token(tag, len(children)))
+        stack.extend(reversed(children))
+    return tuple(out)
+
+
+def _tree(w):
+    """The nested tree of a pre-order word, built bottom-up in reverse
+    pre-order, so a vertex's children are on top of the stack, first child
+    last pushed."""
+    stack = []
+    for token in reversed(w):
+        tag, degree = _TOKENS[token]
+        children = tuple(stack[-1:-degree - 1:-1])
+        del stack[len(stack) - degree:]
+        stack.append((tag, children))
+    return stack[0]
+
+
+def _word_key(w) -> tuple[int, int]:
+    """The weight as (coefficient, exponent): the product of vertex weights."""
+    coeff, exponent = 1, 0
+    for c, e in map(_TOKEN_KEYS.__getitem__, w):
         coeff *= c
         exponent += e
-        stack.extend(children)
     return coeff, exponent
 
 
 def tree_weight(t) -> QPolynomial:
     """Product of vertex weights: an integer coefficient times a power of q."""
-    return QPolynomial.monomial(*_tree_key(t), "q")
+    return QPolynomial.monomial(*_word_key(_word(t)), "q")
+
+
+def _serialize_word(w) -> str:
+    parts = []
+    due = []  # children still to write, per open vertex
+    for token in w:
+        tag, degree = _TOKENS[token]
+        if degree:
+            parts.append(tag + "(")
+            due.append(degree)
+            continue
+        parts.append(tag)
+        while due:
+            due[-1] -= 1
+            if due[-1]:
+                parts.append(" ")
+                break
+            due.pop()
+            parts.append(")")
+    return "".join(parts)
 
 
 def serialize_tree(t) -> str:
-    tag, children = t
-    if not children:
-        return tag
-    return tag + "(" + " ".join(serialize_tree(c) for c in children) + ")"
+    return _serialize_word(_word(t))
 
 
-def _iter_family_trees(n: int, k: int, family: str) -> Iterator:
+def _iter_family_trees(n: int, k: int, family: str) -> Iterator[tuple[int, ...]]:
+    """The words of the family at (n, k): each shape's degree sequence with
+    every choice of n - k marked unary positions and of their marks."""
     info = _FAMILY[family]
     marks_needed = n - k
-    leaf = (info["leaf"], ())
+    leaf = _token(info["leaf"], 0)
+    marks = [_token(mark, 1) for mark in info["marks"]]
+    unit = _token("1", 1)
     for degrees, unary, _ in _shape_info(n + 2):
         if len(unary) < marks_needed:
             continue
+        word = [_token("1", d) if d else leaf for d in degrees]
         for positions in combinations(unary, marks_needed):
-            for marks in product(info["marks"], repeat=marks_needed):
-                tags = ["1"] * len(degrees)
-                for position, mark in zip(positions, marks):
-                    tags[position] = mark
-                yield _build_weighted(degrees, tags, leaf)
+            for tokens in product(marks, repeat=marks_needed):
+                for position, token in zip(positions, tokens):
+                    word[position] = token
+                yield tuple(word)
+            for position in positions:
+                word[position] = unit
 
 
 def _enumerate_family(n: int, k: int, family: str) -> list:
     _check_cap(n, _FAMILY[family]["cap"], f"enumerate_family_{family}")
     if not 0 <= k <= n:
         return []
-    return list(_iter_family_trees(n, k, family))
+    return [_tree(w) for w in _iter_family_trees(n, k, family)]
 
 
 enumerate_family_P = partial(_enumerate_family, family="P")
@@ -429,8 +500,9 @@ enumerate_family_Q = partial(_enumerate_family, family="Q")
 
 
 def _family_weight(n: int, k: int, family: str) -> QPolynomial:
-    """Weight sum over a marked-tree family: shapes enumerated, the choices of
-    marked positions counted and the mark products tallied once."""
+    """Weight sum over a marked-tree family: shapes tallied by their unary
+    and leaf counts, the choices of marked positions counted and the mark
+    products tallied once."""
     info = _FAMILY[family]
     _check_cap(n, info["cap"], f"family_{family}_weight")
     if not 0 <= k <= n:
@@ -443,9 +515,9 @@ def _family_weight(n: int, k: int, family: str) -> QPolynomial:
         marks[sum(e for _, e in tags)] += prod(c for c, _ in tags)
     leaf_coeff, leaf_exponent = info["leaf_weight"]
     counts = [0] * (leaf_exponent * (n + 2) + max(marks) + 1)
-    for _, unary, leaves in _shape_info(n + 2):
-        # binom(len(unary), m) choices of the marked positions
-        scale = binomial(len(unary), m) * leaf_coeff**leaves
+    for (unary, leaves), shapes in _shape_tally(n + 2):
+        # binom(unary, m) choices of the marked positions on each shape
+        scale = shapes * binomial(unary, m) * leaf_coeff**leaves
         for exponent, coeff in marks.items():
             counts[leaf_exponent * leaves + exponent] += scale * coeff
     return QPolynomial(counts, "q")
@@ -514,9 +586,21 @@ def _chain(tag: str, length: int, node):
     return node
 
 
+def _is_fixed_word(w, family: str) -> bool:
+    """Fixed by psi, read off the tokens: a unary root above a complete binary
+    tree once the family's transparent unary vertices are skipped."""
+    if _TOKENS[w[0]][1] != 1:
+        return False
+    transparent = _FAMILY[family]["transparent"]
+    for token in w[1:]:
+        tag, degree = _TOKENS[token]
+        if degree > 2 or degree == 1 and tag != transparent:
+            return False
+    return True
+
+
 def is_fixed_tree(t, family: str) -> bool:
-    tag, children = t
-    return len(children) == 1 and _is_complete(children[0], _FAMILY[family]["transparent"])
+    return _is_fixed_word(_word(t), family)
 
 
 # -- the involution on weighted plane trees ----------------------------------------
@@ -535,41 +619,28 @@ def psi(t, family: str):
     """
     if family not in _FAMILY:
         raise ValueError(f"unknown family {family!r}")
-    toggled = _toggle_first_unit_unary(t)
+    return _tree(_psi_word(_word(t), family))
+
+
+def _psi_word(w, family: str):
+    """psi on a word: case (a) on the tokens, the structural cases on the
+    nested tree."""
+    toggled = _toggle_word(w)
     if toggled is not None:
         return toggled
-    if is_fixed_tree(t, family):
+    if _is_fixed_word(w, family):
         raise FixedElementError("psi is undefined on the fixed set")
-    return _psi_rec(t, family)
+    return _word(_psi_rec(_tree(w), family))
 
 
-def _toggle_first_unit_unary(t):
-    """Flip the first pre-order non-root unary vertex weighted 1 or -1.
-
-    One pre-order scan that keeps only the (tag, children, index) of each
-    ancestor on the current path, so only that path is rebuilt."""
-    path = []
-    tag, children = t
-    i = 0
-    while True:
-        if i == len(children):
-            if not path:
-                return None
-            tag, children, i = path.pop()
-            i += 1
-            continue
-        child_tag, grandchildren = children[i]
-        if len(grandchildren) == 1 and child_tag in ("1", "m1"):
-            node = ("m1" if child_tag == "1" else "1", grandchildren)
-            path.append((tag, children, i))
-            for tag, children, i in reversed(path):
-                node = (tag, children[:i] + (node,) + children[i + 1 :])
-            return node
-        if grandchildren:
-            path.append((tag, children, i))
-            tag, children, i = child_tag, grandchildren, 0
-        else:
-            i += 1
+def _toggle_word(w):
+    """Flip the first pre-order non-root unary vertex weighted 1 or -1 (token
+    0 or 1): one scan and one splice; None if there is none."""
+    for i in range(1, len(w)):
+        token = w[i]
+        if token < 2:
+            return w[:i] + (1 - token,) + w[i + 1:]
+    return None
 
 
 def _is_complete(t, transparent) -> bool:
@@ -792,10 +863,11 @@ def _involution(family: str):
         )
     if family not in _FAMILY:
         raise ValueError(f"unknown family {family!r}")
+    fixed_set = fixed_set_P if family == "P" else fixed_set_Q
     return (
         _FAMILY[family]["cap"], partial(_iter_family_trees, family=family),
-        partial(is_fixed_tree, family=family), partial(psi, family=family), _tree_key,
-        serialize_tree, fixed_set_P if family == "P" else fixed_set_Q,
+        partial(_is_fixed_word, family=family), partial(_psi_word, family=family), _word_key,
+        _serialize_word, lambda n: map(_word, fixed_set(n)),
     )
 
 

@@ -440,6 +440,17 @@ class TestEnumerate:
         assert out == ""
         assert got == err + " (set NARAYANA_CAP to raise it)\n"
 
+    @pytest.mark.parametrize("family", ["D", "P", "Q"])
+    def test_negative_involution_size_is_usage_error(self, capsys, monkeypatch, family):
+        def refuse(*args, **kwargs):
+            raise AssertionError("involution ran with a negative --n")
+
+        monkeypatch.setattr(combinat, "involution_verify", refuse)
+        code, out, err = run(capsys, "involution", "--family", family, "--n", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "involution: --n must be nonnegative, got -1\n"
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
 

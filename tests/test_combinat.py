@@ -1,6 +1,7 @@
 import os
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 
@@ -99,6 +100,12 @@ class TestFamilyD:
             for p in flat + cb.dbar_elements(n):
                 if any(p.tags):
                     assert cb.phi(p) == _reference_phi(p), p
+
+    def test_dbar_elements_are_the_all_weighted_flat_paths(self):
+        for n in range(7):
+            assert cb.dbar_elements(n) == [
+                p for k in range(n + 1) for p in cb._iter_flat_family_D(n, k) if all(p.tags)
+            ], n
 
     def test_phi_rejects_unweighted_paths(self):
         for n in range(5):
@@ -273,13 +280,13 @@ class TestInvolutions:
         # the certifier tests each element; psi tests only the trees it does
         # not toggle, so its images cost at most one more test each
         calls = []
-        real = cb.is_fixed_tree
+        real = cb._is_fixed_word
 
-        def counting(t, family):
+        def counting(w, family):
             calls.append(1)
-            return real(t, family)
+            return real(w, family)
 
-        monkeypatch.setattr(cb, "is_fixed_tree", counting)
+        monkeypatch.setattr(cb, "_is_fixed_word", counting)
         report = cb.involution_verify("P", 5)
         assert report.certified
         assert len(calls) <= report.size + (report.size - report.fixed_count)
@@ -293,7 +300,8 @@ class TestInvolutions:
             for k in range(n + 1):
                 for t in getattr(cb, f"enumerate_family_{family}")(n, k):
                     toggled = _reference_toggle(t)
-                    assert cb._toggle_first_unit_unary(t) == toggled
+                    expected = None if toggled is None else cb._word(toggled)
+                    assert cb._toggle_word(cb._word(t)) == expected
                     if toggled is None and cb.is_fixed_tree(t, family):
                         continue
                     moving += 1
@@ -335,6 +343,97 @@ def _reference_toggle(t):
         return None
 
     return walk(t, True)
+
+
+def _reference_serialize(t):
+    """The recursive serialiser the word serialiser replaced."""
+    tag, children = t
+    if not children:
+        return tag
+    return tag + "(" + " ".join(map(_reference_serialize, children)) + ")"
+
+
+def _reference_key(t):
+    """The weight as (coefficient, exponent), by a recursive walk."""
+    coeff, exponent = cb._TAG_WEIGHTS[t[0]]
+    for child in t[1]:
+        c, e = _reference_key(child)
+        coeff, exponent = coeff * c, exponent + e
+    return coeff, exponent
+
+
+def _is_fixed_nested(t, family):
+    """psi's fixed set by the nested predicate: a unary root above a tree
+    that `_is_complete` accepts."""
+    children = t[1]
+    return len(children) == 1 and cb._is_complete(
+        children[0], cb._FAMILY[family]["transparent"]
+    )
+
+
+class TestWords:
+    """The pre-order words the certifier works on against the nested trees
+    of the public functions: every element of P <= 6 and Q <= 5, every fixed
+    tree and every psi image."""
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def trees(family, top):
+        trees = [
+            t for n in range(top + 1) for k in range(n + 1)
+            for t in getattr(cb, f"enumerate_family_{family}")(n, k)
+        ]
+        images = [cb.psi(t, family) for t in trees if not _is_fixed_nested(t, family)]
+        fixed = [t for n in range(top + 1) for t in getattr(cb, f"fixed_set_{family}")(n)]
+        assert len(images) > 1000 and fixed
+        return trees + images + fixed
+
+    @pytest.mark.parametrize("family,top", [("P", 6), ("Q", 5)])
+    def test_round_trips(self, family, top):
+        for t in self.trees(family, top):
+            w = cb._word(t)
+            assert cb._tree(w) == t and cb._word(cb._tree(w)) == w
+        for n in range(top + 1):
+            for k in range(n + 1):
+                for w in cb._iter_family_trees(n, k, family):
+                    assert cb._word(cb._tree(w)) == w
+
+    @pytest.mark.parametrize("family,top", [("P", 6), ("Q", 5)])
+    def test_toggle_matches_recursive_walk(self, family, top):
+        toggled = 0
+        for t in self.trees(family, top):
+            expected = _reference_toggle(t)
+            got = cb._toggle_word(cb._word(t))
+            assert got == (None if expected is None else cb._word(expected)), t
+            toggled += got is not None
+        assert toggled > 1000
+
+    @pytest.mark.parametrize("family,top", [("P", 6), ("Q", 5)])
+    def test_fixed_test_matches_nested_predicate(self, family, top):
+        fixed = 0
+        for t in self.trees(family, top):
+            expected = _is_fixed_nested(t, family)
+            assert cb._is_fixed_word(cb._word(t), family) == expected, t
+            assert cb.is_fixed_tree(t, family) == expected, t
+            fixed += expected
+        assert fixed == 2 * sum(len(getattr(cb, f"fixed_set_{family}")(n)) for n in range(top + 1))
+
+    def test_fixed_test_reads_out_degree_and_the_transparent_tag(self):
+        # not the family's tags: any tag on a leaf or binary vertex is fine,
+        # and a unary vertex only with the transparent tag
+        leaf = ("x", ())
+        assert cb.is_fixed_tree(("y", (("z", (leaf, leaf)),)), "P")
+        assert cb.is_fixed_tree(("1", (("2q", (leaf,)),)), "Q")
+        assert not cb.is_fixed_tree(("1", (("2q", (leaf,)),)), "P")
+        assert not cb.is_fixed_tree(("1", (("1", (leaf, leaf, leaf)),)), "Q")
+        assert not cb.is_fixed_tree(("1", (leaf, leaf)), "P")
+
+    @pytest.mark.parametrize("family,top", [("P", 6), ("Q", 5)])
+    def test_serialiser_and_key_match_nested_walks(self, family, top):
+        for t in self.trees(family, top):
+            w = cb._word(t)
+            assert cb._serialize_word(w) == cb.serialize_tree(t) == _reference_serialize(t)
+            assert cb._word_key(w) == _reference_key(t)
 
 
 class TestSerialization:
@@ -486,7 +585,7 @@ class TestCertifier:
         for p in cb.dbar_elements(3):
             assert cb.path_weight(p) == QPolynomial.monomial(*cb._path_key(p), "q")
         for t in cb.enumerate_family_Q(3, 1):
-            assert cb.tree_weight(t) == QPolynomial.monomial(*cb._tree_key(t), "q")
+            assert cb.tree_weight(t) == QPolynomial.monomial(*cb._word_key(cb._word(t)), "q")
 
     def test_no_per_element_polynomials(self, monkeypatch):
         # only the two reported weights are built, however large the family
@@ -518,12 +617,12 @@ class TestCertifier:
 
             monkeypatch.setattr(cb, name, wrapped)
 
-        counting("psi")
-        counting("_tree_key")
+        counting("_psi_word")
+        counting("_word_key")
         report = cb.involution_verify(family, n)
         assert report.certified and report.size - report.fixed_count > 700
-        assert counts["psi"] <= report.size - report.fixed_count
-        assert counts["_tree_key"] <= report.size + len(getattr(cb, f"fixed_set_{family}")(n))
+        assert counts["_psi_word"] <= report.size - report.fixed_count
+        assert counts["_word_key"] <= report.size + len(getattr(cb, f"fixed_set_{family}")(n))
 
 
 def _psi_table_P(n):
@@ -561,7 +660,8 @@ class TestCertificateMutants:
                  and cb.tree_weight(t) == cb.tree_weight(a))
         a2, b2 = table[a], table[b]
         table.update({a2: b, b2: a})
-        monkeypatch.setattr(cb, "psi", lambda t, family: table[t])
+        words = {cb._word(t): cb._word(image) for t, image in table.items()}
+        monkeypatch.setattr(cb, "_psi_word", lambda w, family: words[w])
         report = _report_against_reference("P", 4)
         assert report.failures == {**NO_FAILURES, "self_inverse": 4}
         assert report.counterexample is not None
@@ -569,19 +669,19 @@ class TestCertificateMutants:
     def test_mutant_leaving_the_family(self, monkeypatch):
         # t0 goes to a tree with one vertex too many and the same weight as
         # its true image t1, and back; t1 still goes to t0
-        real_psi = cb.psi
+        real_psi = cb._psi_word
         t0 = next(t for t in cb.enumerate_family_P(3, 1) if not cb.is_fixed_tree(t, "P"))
-        t1 = real_psi(t0, "P")
-        outside = ("1", (t1,))
+        t1 = cb.psi(t0, "P")
+        w0, outside = cb._word(t0), cb._word(("1", (t1,)))
 
-        def mutant(t, family):
-            if t == t0:
+        def mutant(w, family):
+            if w == w0:
                 return outside
-            if t == outside:
-                return t0
-            return real_psi(t, family)
+            if w == outside:
+                return w0
+            return real_psi(w, family)
 
-        monkeypatch.setattr(cb, "psi", mutant)
+        monkeypatch.setattr(cb, "_psi_word", mutant)
         report = _report_against_reference("P", 3)
         assert report.failures == {**NO_FAILURES, "multiset_closure": 2, "self_inverse": 1}
         assert report.counterexample == cb.serialize_tree(t1)
@@ -590,22 +690,22 @@ class TestCertificateMutants:
         # t0 goes to a fixed tree of its true image's weight, and back: t0's
         # own checks pass, so the fixed tree waits as an open image, yet it
         # is still counted as fixed when it is met; t1 still goes to t0
-        real_psi = cb.psi
-        fixed = cb.fixed_set_P(4)[0]
-        t0 = next(
-            t for k in range(4) for t in cb.enumerate_family_P(4, k)
-            if cb._tree_key(t) == (-1, cb._tree_key(fixed)[1])
+        real_psi = cb._psi_word
+        fixed = cb._word(cb.fixed_set_P(4)[0])
+        w0 = next(
+            w for k in range(4) for w in cb._iter_family_trees(4, k, "P")
+            if cb._word_key(w) == (-1, cb._word_key(fixed)[1])
         )
-        t1 = real_psi(t0, "P")
+        t1 = cb.psi(cb._tree(w0), "P")
 
-        def mutant(t, family):
-            if t == t0:
+        def mutant(w, family):
+            if w == w0:
                 return fixed
-            if t == fixed:
-                return t0
-            return real_psi(t, family)
+            if w == fixed:
+                return w0
+            return real_psi(w, family)
 
-        monkeypatch.setattr(cb, "psi", mutant)
+        monkeypatch.setattr(cb, "_psi_word", mutant)
         report = _report_against_reference("P", 4)
         assert report.fixed_count == len(cb.fixed_set_P(4))
         assert report.failures == {**NO_FAILURES, "multiset_closure": 2, "self_inverse": 1}

@@ -37,6 +37,8 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import repeat, zip_longest
+from operator import mul
 
 from .exact_core import IndeterminateMismatchError, QPolynomial, binomial, horner
 from .sequences import (
@@ -276,18 +278,17 @@ def lemma_difference_argument(n: int) -> bool:
 
     With N = 2n+1, coefficient m of f_n is sum_k (-1)^k binom(N, k) P_m(k),
     P_m(k) = sum_j N_{k+1,j} binom(N-k, m-j), read from narayana_poly(k+1).
-    - Engine: (x-k)^r expands binomially, so the alternating sums reduce to
-      S_i = sum_k (-1)^k binom(N, k) k^i: 0 for i < N, (-1)^N N! for i = N.
-    - Low window, 1 <= m <= n+1: N_{k+1,j} = F_j(k) / (j! (j-1)!) with the int
-      polynomial F_j = (k+1)k...(k-j+3) * k(k-1)...(k-j+2) of degree 2j-2, checked
-      against narayana_poly(k+1)'s coefficients j <= n+1 at every k <= N; and
-      binom(N-k, m-j) is a falling product of degree m-j.  So P_m, held as int
-      coefficients c_i over one common denominator, has degree m+j-2 <= 2n
-      and alternating sum sum_i c_i S_i = 0.
-    - High window, n+2 <= m <= 2n+2: each narayana_poly(k+1) is palindromic of
-      degree k+2 with zero constant term, and (1+q)^(N-k) of degree N-k, so
-      q^{2n+3} f_n(1/q) = f_n(q) term by term; coefficient m maps onto
-      2n+3-m in the low window, and 2n+3 onto the zero coefficient 0.
+    Three checks carry the proof.
+    - Engine: S_i = sum_k (-1)^k binom(N, k) k^i is 0 for i < N, (-1)^N N! at N.
+    - Tie: N_{k+1,j} = F_j(k) / (j! (j-1)!) at every k <= N, j <= n+1, with the
+      int polynomial F_j = (k+1)k...(k-j+3) * k(k-1)...(k-j+2) of degree 2j-2.
+      So for 1 <= m <= n+1, P_m agrees at k = 0..N with a polynomial of degree
+      at most 2m-2 <= 2n, and its alternating sum, a combination of S_0..S_2n,
+      is 0.
+    - Palindromes: each narayana_poly(k+1) is palindromic of degree k+2 with
+      zero constant term, and (1+q)^(N-k) of degree N-k, so q^{2n+3} f_n(1/q)
+      = f_n(q) term by term; each m in n+2..2n+2 maps onto 2n+3-m <= n+1, and
+      2n+3 onto the zero coefficient 0.
     """
     big = 2 * n + 1
     # engine: the power sums S_0..S_N
@@ -306,9 +307,7 @@ def lemma_difference_argument(n: int) -> bool:
             return False
     if any(binomial(j, i) != binomial(j, j - i) for j in range(big + 1) for i in range(j + 1)):
         return False
-    # low window: tie F_j to the stored coefficients, then sum scale * P_m
-    scale = math.factorial(n + 1) ** 2
-    low = [[0] * big for _ in range(n + 2)]  # low[m]: scale * P_m
+    # low window: tie F_j to the stored coefficients
     narayana_part = [1]  # F_j
     for j in range(1, n + 2):
         den = math.factorial(j) * math.factorial(j - 1)
@@ -318,15 +317,8 @@ def lemma_difference_argument(n: int) -> bool:
                 value = value * k + a
             if divmod(value, den) != ((c[j] if j < len(c) else 0), 0):
                 return False
-        term = narayana_part  # F_j(k) binom(N-k, m-j) (m-j)!, degree m+j-2
-        for m in range(j, n + 2):
-            if len(term) - 1 > 2 * n:
-                return False
-            weight = scale // (den * math.factorial(m - j))
-            low[m][: len(term)] = [r + weight * a for r, a in zip(low[m], term)]
-            term = _times_linear(term, big - (m - j), -1)
         narayana_part = _times_linear(_times_linear(narayana_part, 2 - j, 1), 1 - j, 1)
-    return all(sum(c * s for c, s in zip(row, sums)) == 0 for row in low[1:])
+    return True
 
 
 # -- inverse relations ---------------------------------------------------------
@@ -337,9 +329,10 @@ def _triangular(name: str, seq: Sequence, rows) -> list:
 
     `rows(m)` yields, for an input of length m, one (weights, divisor) pair per
     output row n: the integers M(n, 0), M(n, 1), ... and d_n, so that output n
-    is sum_k M(n, k) seq[k] / d_n.  The input is scaled once to integer rows
-    over L, the lcm of all its denominators, so each output coefficient is an
-    integer sum divided once by L * d_n, in the one indeterminate of the
+    is sum_k M(n, k) seq[k] / d_n.  The input is scaled once to integer columns
+    over L, the lcm of all its denominators (column i: coefficient i of every
+    input), so each output coefficient is one dot product of a weight row with
+    a column, divided once by L * d_n, in the one indeterminate of the
     non-constant inputs (the first input's if none)."""
     seq = [a if isinstance(a, QPolynomial) else QPolynomial.constant(a) for a in seq]
     if not seq:
@@ -349,16 +342,22 @@ def _triangular(name: str, seq: Sequence, rows) -> list:
         raise IndeterminateMismatchError(f"{name}: sequence mixes {sorted(indeterminates)}")
     var = indeterminates.pop() if indeterminates else seq[0].var
     lcm = math.lcm(*(c.denominator for a in seq for c in a.coeffs))
-    ints = [[c.numerator * (lcm // c.denominator) for c in a.coeffs] for a in seq]
+    columns = list(zip_longest(
+        *([c.numerator * (lcm // c.denominator) for c in a.coeffs] for a in seq), fillvalue=0
+    ))
     out = []
     for weights, divisor in rows(len(seq)):
-        total = [0] * max(len(ints[k]) for k in range(len(weights)))
-        for w, row in zip(weights, ints):
-            for i, c in enumerate(row):
-                total[i] += w * c
+        total = [sum(map(mul, weights, column)) for column in columns]
         den = lcm * divisor
         out.append(QPolynomial(total if den == 1 else [Fraction(t, den) for t in total], var))
     return out
+
+
+def _alternate(row) -> list:
+    """The n+1 entries of row n as a list, entry k times (-1)^(n-k)."""
+    row = list(row)
+    row[-2::-2] = [-c for c in row[-2::-2]]
+    return row
 
 
 def _sign(name: str, direction: str) -> int:
@@ -374,21 +373,22 @@ def legendre_inverse(direction: str, seq: Sequence) -> list:
     forward:  A_n = sum_k binom(n+k, n-k) B_k
     backward: B_n = sum_k (-1)^{n-k} (2k+1)/(2n+1) binom(2n+1, n-k) A_k
     """
-    forward = _sign("legendre_inverse", direction) == 1
+    if _sign("legendre_inverse", direction) == 1:
+        return _triangular("legendre_inverse", seq, lambda m: (
+            (list(map(math.comb, range(n, 2 * n + 1), range(n, -1, -1))), 1) for n in range(m)
+        ))
     return _triangular("legendre_inverse", seq, lambda m: (
-        ([binomial(n + k, n - k) for k in range(n + 1)], 1) if forward else (
-            [(-1) ** (n - k) * (2 * k + 1) * binomial(2 * n + 1, n - k) for k in range(n + 1)],
-            2 * n + 1,
-        )
+        (_alternate(map(mul, range(1, 2 * n + 2, 2),
+                        map(math.comb, repeat(2 * n + 1), range(n, -1, -1)))), 2 * n + 1)
         for n in range(m)
     ))
 
 
 def binomial_inverse(direction: str, seq: Sequence) -> list:
     """The binomial transform and its inverse (mutually inverse maps)."""
-    sign = _sign("binomial_inverse", direction)
+    row = list if _sign("binomial_inverse", direction) == 1 else _alternate
     return _triangular("binomial_inverse", seq, lambda m: (
-        ([sign ** (n - k) * binomial(n, k) for k in range(n + 1)], 1) for n in range(m)
+        (row(map(math.comb, repeat(n), range(n + 1))), 1) for n in range(m)
     ))
 
 
@@ -399,7 +399,7 @@ def left_inversion_forward(s: int, p: int, seq: Sequence, length: int) -> list:
     if length < 0:
         raise ValueError(f"left_inversion_forward: negative length {length}")
     return _triangular("left_inversion_forward", seq, lambda m: (
-        ([binomial(n + p, s * k + p) for k in range(min(n // s, m - 1) + 1)], 1)
+        (list(map(math.comb, repeat(n + p), range(p, p + s * min(n // s, m - 1) + 1, s))), 1)
         for n in range(length)
     ))
 
@@ -410,7 +410,7 @@ def left_inversion(s: int, p: int, seq: Sequence) -> list:
     if s < 1 or p < 0:
         raise ValueError(f"left inversion needs s >= 1 and p >= 0, got s={s}, p={p}")
     return _triangular("left_inversion", seq, lambda m: (
-        ([(-1) ** (s * n - k) * binomial(s * n + p, k + p) for k in range(s * n + 1)], 1)
+        (_alternate(map(math.comb, repeat(s * n + p), range(p, s * n + p + 1))), 1)
         for n in range((m - 1) // s + 1)
     ))
 

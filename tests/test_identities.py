@@ -376,6 +376,61 @@ def mixed_sequences(draw):
     return var, draw(st.lists(st.one_of(wide_scalars, poly), min_size=1, max_size=8))
 
 
+def _ragged_polynomials(rng, length):
+    """`length` polynomials in x of degree 0-5 with small rational coefficients,
+    the zero polynomial among them."""
+    seq = [
+        QPolynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                     for _ in range(rng.randint(0, 5))] + [Fraction(1, rng.randint(1, 9))], "x")
+        for _ in range(length - 1)
+    ]
+    seq.insert(rng.randrange(length), QPolynomial.zero("x"))
+    return seq
+
+
+@pytest.fixture(scope="module")
+def bench_size_cases():
+    """(kernel, input, per-term reference output) at the benchmark's sizes:
+    length-40 Fraction sequences and length-20 ragged polynomial sequences,
+    each direction once and left inversion at every s in 1..3, p in 0..2."""
+    rng = random.Random(17)
+    sequences = [[Fraction(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(40)]
+                 for _ in range(2)]
+    sequences += [_ragged_polynomials(rng, 20) for _ in range(2)]
+    cases = []
+    for seq in sequences:
+        pairs = _relations(1, 0, len(seq))[:4]
+        for s in (1, 2, 3):
+            for p in (0, 1, 2):
+                pairs += _relations(s, p, s * (len(seq) - 1) + 1)[4:]
+        cases += [(kernel, seq, reference(seq)) for kernel, reference in pairs]
+    return cases
+
+
+def _bench_size_misses(cases):
+    """How many cases' kernel outputs differ from the reference in value,
+    coefficient type or indeterminate."""
+    return sum(
+        len(got) != len(want) or not all(map(_identical, got, want))
+        for got, want in ((kernel(seq), want) for kernel, seq, want in cases)
+    )
+
+
+def _wrong_parity(row):
+    row = list(row)
+    row[-1::-2] = [-c for c in row[-1::-2]]
+    return row
+
+
+# kernel mutants the benchmark-size check must catch: name -> (attribute, mutant)
+_KERNEL_MUTANTS = {
+    "sign-on-wrong-parity": ("_alternate", lambda real: _wrong_parity),
+    "zip-drops-columns": ("zip_longest", lambda real: lambda *rows, fillvalue: zip(*rows)),
+    "divisor-ignored": ("_triangular", lambda real: lambda name, seq, rows: real(
+        name, seq, lambda m: ((weights, 1) for weights, _ in rows(m)))),
+}
+
+
 class TestInverseKernel:
     @given(
         mixed_sequences(),
@@ -395,6 +450,15 @@ class TestInverseKernel:
                     for c in poly.coeffs
                 ), poly
                 assert poly.is_constant or poly.var == var
+
+    def test_matches_per_term_reference_at_bench_sizes(self, bench_size_cases):
+        assert _bench_size_misses(bench_size_cases) == 0
+
+    @pytest.mark.parametrize("mutant", sorted(_KERNEL_MUTANTS))
+    def test_bench_size_check_catches_mutant(self, monkeypatch, bench_size_cases, mutant):
+        attr, make = _KERNEL_MUTANTS[mutant]
+        monkeypatch.setattr(identities, attr, make(getattr(identities, attr)))
+        assert _bench_size_misses(bench_size_cases) > 0
 
     def test_mixed_indeterminates_rejected(self):
         seq = [QPolynomial((0, 1), "x"), Fraction(1, 3), QPolynomial((1, 1), "q")]
@@ -416,12 +480,13 @@ class TestInverseKernel:
                            ("__rmul__", "mul"), ("__init__", "new")):
             monkeypatch.setattr(QPolynomial, attr, counting(kind, vars(QPolynomial)[attr]))
         rng = random.Random(40)
-        seq = [Fraction(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(40)]
-        for kernel, _ in _relations(2, 1, 2 * 39 + 1):
-            counts.update(add=0, mul=0, new=0)
-            out = kernel(seq)
-            assert counts["add"] == counts["mul"] == 0
-            assert counts["new"] <= len(out) + len(seq)
+        scalars = [Fraction(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(40)]
+        for seq in (scalars, _ragged_polynomials(rng, 20)):
+            for kernel, _ in _relations(2, 1, 2 * (len(seq) - 1) + 1):
+                counts.update(add=0, mul=0, new=0)
+                out = kernel(seq)
+                assert counts["add"] == counts["mul"] == 0
+                assert counts["new"] <= len(out) + len(seq)
 
 
 # -- the power-form sums that Horner's rule replaced: each term built with a

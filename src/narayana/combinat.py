@@ -12,16 +12,17 @@ enumerated flat, each insertion tuple's steps joined once for all its sign
 patterns; `flatten` stays as the reference they are tested against.  phi
 reads each word's primitive components from a per-word cache.
 
-Weighted plane trees are nested pairs (tag, children) in the public
-functions.  Tags: "1" unmarked internal, "q"/"q2" leaf, "m1" marked unary -1,
+Weighted plane trees are nested pairs (tag, children) only at the public
+boundary.  Tags: "1" unmarked internal, "q"/"q2" leaf, "m1" marked unary -1,
 "mq" marked unary -q, "mq2" marked unary -q^2, "2q" marked unary 2q (family Q
-only, treated as transparent by the structural tests).  The P/Q certifier
-works on pre-order words instead (Lukasiewicz words): a tree is one flat tuple
-of shared tokens, one per vertex in pre-order, each naming the vertex's tag
-and out-degree.  The family enumerates words straight from its shapes' degree
-sequences; a word's weight is one pass over its tokens, and psi's case (a)
-one token scan and one splice.  The public tree functions are thin adapters
-over the word code.
+only, treated as transparent by the structural tests).  Inside the module a
+tree is its pre-order word (Lukasiewicz word): one flat tuple of shared
+tokens, one per vertex in pre-order, each naming the vertex's tag and
+out-degree.  Shapes are generated as pre-order degree sequences, and the
+families and fixed sets as words; a word's weight is one pass over its
+tokens, and psi edits at most two tokens, since a subtree is a slice and its
+rightmost leaf its last token.  Only `_tree` and `_word` convert, in the
+public tree functions.
 """
 
 from __future__ import annotations
@@ -195,13 +196,19 @@ def _iter_flat_family_D(n: int, k: int) -> Iterator[WeightedDyckPath]:
                 spaces.append((next(base_tags),))
         spaces += [(0, -1)] * comp[-1]
         tag_tuples = list(product(*spaces))
-        parts = [""] * (4 * k + 1)  # insertions at even places, base steps at odd
-        parts[1::2] = base
-        for paths in tuples:
-            parts[::2] = paths
-            steps = "".join(parts)
+        for steps in _joined(base, tuples):
             for tags in tag_tuples:
                 yield WeightedDyckPath(steps, tags)
+
+
+def _joined(base: str, tuples) -> Iterator[str]:
+    """Each insertion tuple's steps joined around `base`: insertion i before
+    base step i, the last one after the base."""
+    parts = [""] * (2 * len(base) + 1)  # insertions at even places, base steps at odd
+    parts[1::2] = base
+    for paths in tuples:
+        parts[::2] = paths
+        yield "".join(parts)
 
 
 def enumerate_family_D(n: int, k: int) -> list:
@@ -297,8 +304,6 @@ def dbar_elements(n: int) -> list:
     out = []
     for k in range(n + 1):
         base = "UD" * k
-        parts = [""] * (4 * k + 1)  # insertions at even places, base steps at odd
-        parts[1::2] = base
         for comp in _compositions(n - k, 2 * k + 1):
             tags = []
             for m, step in zip(comp, base):
@@ -306,9 +311,8 @@ def dbar_elements(n: int) -> list:
                 if step == "U":
                     tags.append(1)
             tags = tuple(tags + [-1] * comp[-1])
-            for paths in product(*[_dyck_paths(m) for m in comp]):
-                parts[::2] = paths
-                out.append(WeightedDyckPath("".join(parts), tags))
+            paths = product(*[_dyck_paths(m) for m in comp])
+            out += (WeightedDyckPath(steps, tags) for steps in _joined(base, paths))
     return out
 
 
@@ -316,43 +320,27 @@ def dbar_elements(n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _children_seqs(total: int) -> tuple[tuple, ...]:
-    """All ordered forests (tuples of shapes) with the given vertex total."""
+def _children_seqs(total: int) -> tuple[tuple[int, ...], ...]:
+    """All ordered forests with the given vertex total, each as the
+    out-degrees of its vertices in pre-order, tree by tree."""
     if total == 0:
         return ((),)
-    out = []
-    for first_size in range(1, total + 1):
-        for first in _tree_shapes(first_size):
-            for rest in _children_seqs(total - first_size):
-                out.append((first,) + rest)
-    return tuple(out)
+    return tuple(
+        first + rest
+        for first_size in range(1, total + 1)
+        for first in _tree_shapes(first_size)
+        for rest in _children_seqs(total - first_size)
+    )
 
 
 @lru_cache(maxsize=None)
-def _tree_shapes(vertices: int) -> tuple[tuple, ...]:
-    """All plane tree shapes with the given vertex count; a shape is its
-    tuple of child shapes."""
+def _tree_shapes(vertices: int) -> tuple[tuple[int, ...], ...]:
+    """All plane tree shapes with the given vertex count, each as its
+    out-degrees in pre-order: the root's, then its forest of children's (a
+    forest of v vertices and e edges holds v - e trees)."""
     if vertices < 1:
         return ()
-    return _children_seqs(vertices - 1)
-
-
-@lru_cache(maxsize=None)
-def _shape_info(vertices: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """Each plane tree shape with the given vertex count, as its out-degrees
-    in pre-order, with the pre-order indices of its non-root unary vertices
-    and its leaf count."""
-    out = []
-    for shape in _tree_shapes(vertices):
-        degrees = []
-        stack = [shape]
-        while stack:
-            node = stack.pop()
-            degrees.append(len(node))
-            stack.extend(reversed(node))
-        unary = tuple(i for i, d in enumerate(degrees) if d == 1 and i)
-        out.append((tuple(degrees), unary, degrees.count(0)))
-    return tuple(out)
+    return tuple((vertices - 1 - sum(f),) + f for f in _children_seqs(vertices - 1))
 
 
 @lru_cache(maxsize=None)
@@ -360,7 +348,7 @@ def _shape_tally(vertices: int) -> tuple[tuple[tuple[int, int], int], ...]:
     """How many shapes with the given vertex count have each (non-root unary
     count, leaf count)."""
     return tuple(Counter(
-        (len(unary), leaves) for _, unary, leaves in _shape_info(vertices)
+        (degrees[1:].count(1), degrees.count(0)) for degrees in _tree_shapes(vertices)
     ).items())
 
 
@@ -475,7 +463,8 @@ def _iter_family_trees(n: int, k: int, family: str) -> Iterator[tuple[int, ...]]
     leaf = _token(info["leaf"], 0)
     marks = [_token(mark, 1) for mark in info["marks"]]
     unit = _token("1", 1)
-    for degrees, unary, _ in _shape_info(n + 2):
+    for degrees in _tree_shapes(n + 2):
+        unary = [i for i in range(1, len(degrees)) if degrees[i] == 1]
         if len(unary) < marks_needed:
             continue
         word = [_token("1", d) if d else leaf for d in degrees]
@@ -533,70 +522,67 @@ family_Q_closed_form = partial(identities.expansion_term, "Q")
 
 
 @lru_cache(maxsize=None)
-def _complete_binary_shapes(vertices: int) -> tuple[tuple, ...]:
+def _complete_binary_shapes(vertices: int) -> tuple[tuple[int, ...], ...]:
+    """All complete binary tree shapes with the given vertex count, each as
+    its out-degrees in pre-order: 2, the left subtree's, the right's."""
     if vertices % 2 == 0:
         return ()
     if vertices == 1:
-        return ((),)
-    out = []
-    for left_size in range(1, vertices - 1, 2):
-        for left in _complete_binary_shapes(left_size):
-            for right in _complete_binary_shapes(vertices - 1 - left_size):
-                out.append((left, right))
-    return tuple(out)
+        return ((0,),)
+    return tuple(
+        (2,) + left + right
+        for left_size in range(1, vertices - 1, 2)
+        for left in _complete_binary_shapes(left_size)
+        for right in _complete_binary_shapes(vertices - 1 - left_size)
+    )
 
 
-def _fixed_set(n: int, family: str) -> list:
-    """Fixed trees of psi: a root above a complete binary tree, with the
-    family's transparent unary vertices (2q in Q, none in P) inserted into
-    its edges."""
+def _fixed_words(n: int, family: str) -> Iterator[tuple[int, ...]]:
+    """The words of psi's fixed trees at size n: a unary root above a complete
+    binary tree, with a chain of the family's transparent unary vertices (2q
+    in Q, none in P) above each of its vertices, the chain lengths taken in
+    pre-order from each composition of the n - 2k spare vertices."""
     info = _FAMILY[family]
-    _check_cap(n, info["cap"], f"fixed_set_{family}")
     transparent = info["transparent"]
-    out = []
+    chain = _token(transparent, 1) if transparent else None
+    root, binary, leaf = _token("1", 1), _token("1", 2), _token(info["leaf"], 0)
     for k in range(n // 2 + 1):
         extra = n - 2 * k
         if extra and transparent is None:
             continue
-        for shape in _complete_binary_shapes(2 * k + 1):
-            # 2k+1 edges: the root edge plus the 2k edges of the subtree
+        for degrees in _complete_binary_shapes(2 * k + 1):
+            core = [binary if d else leaf for d in degrees]
             for comp in _compositions(extra, 2 * k + 1):
-                out.append(_chained_tree((shape,), info["leaf"], transparent, iter(comp)))
-    return out
+                word = [root]
+                for length, token in zip(comp, core):
+                    word += [chain] * length
+                    word.append(token)
+                yield tuple(word)
 
 
-def _chained_tree(shape: tuple, leaf: str, transparent, lengths):
-    """Weight `shape`, with a chain of next(lengths) transparent unary
-    vertices above each child, taken in pre-order."""
-    if not shape:
-        return (leaf, ())
-    return ("1", tuple(
-        _chain(transparent, next(lengths), _chained_tree(child, leaf, transparent, lengths))
-        for child in shape
-    ))
+def _fixed_set(n: int, family: str) -> list:
+    _check_cap(n, _FAMILY[family]["cap"], f"fixed_set_{family}")
+    return [_tree(w) for w in _fixed_words(n, family)]
 
 
 fixed_set_P = partial(_fixed_set, family="P")
 fixed_set_Q = partial(_fixed_set, family="Q")
 
 
-def _chain(tag: str, length: int, node):
-    for _ in range(length):
-        node = (tag, (node,))
-    return node
-
-
-def _is_fixed_word(w, family: str) -> bool:
-    """Fixed by psi, read off the tokens: a unary root above a complete binary
-    tree once the family's transparent unary vertices are skipped."""
-    if _TOKENS[w[0]][1] != 1:
-        return False
-    transparent = _FAMILY[family]["transparent"]
-    for token in w[1:]:
+def _is_complete(w, transparent) -> bool:
+    """Complete binary once unary vertices tagged `transparent` are skipped,
+    read off the tokens of a subtree's slice: no vertex has out-degree above
+    2, and every unary one is transparent."""
+    for token in w:
         tag, degree = _TOKENS[token]
         if degree > 2 or degree == 1 and tag != transparent:
             return False
     return True
+
+
+def _is_fixed_word(w, family: str) -> bool:
+    """Fixed by psi: a unary root above a complete binary tree."""
+    return _TOKENS[w[0]][1] == 1 and _is_complete(w[1:], _FAMILY[family]["transparent"])
 
 
 def is_fixed_tree(t, family: str) -> bool:
@@ -622,17 +608,6 @@ def psi(t, family: str):
     return _tree(_psi_word(_word(t), family))
 
 
-def _psi_word(w, family: str):
-    """psi on a word: case (a) on the tokens, the structural cases on the
-    nested tree."""
-    toggled = _toggle_word(w)
-    if toggled is not None:
-        return toggled
-    if _is_fixed_word(w, family):
-        raise FixedElementError("psi is undefined on the fixed set")
-    return _word(_psi_rec(_tree(w), family))
-
-
 def _toggle_word(w):
     """Flip the first pre-order non-root unary vertex weighted 1 or -1 (token
     0 or 1): one scan and one splice; None if there is none."""
@@ -643,80 +618,71 @@ def _toggle_word(w):
     return None
 
 
-def _is_complete(t, transparent) -> bool:
-    """Complete binary once unary vertices tagged `transparent` are skipped."""
-    tag, children = t
-    if not children:
-        return True
-    if len(children) == 2:
-        return _is_complete(children[0], transparent) and _is_complete(children[1], transparent)
-    if len(children) == 1 and tag == transparent:
-        return _is_complete(children[0], transparent)
-    return False
+def _end(w, i: int) -> int:
+    """The index just past the slice of the subtree rooted at w[i]."""
+    due = 1  # subtrees still to be read
+    while due:
+        due += _TOKENS[w[i]][1] - 1
+        i += 1
+    return i
 
 
-def _chase(t, transparent):
-    """Skip a chain of transparent unary vertices; returns (chain length, core)."""
-    chain = 0
-    while len(t[1]) == 1 and t[0] == transparent:
-        chain += 1
-        t = t[1][0]
-    return chain, t
+def _rightmost(w, i: int, tag: str):
+    """The index of the first vertex tagged `tag` on the rightmost path down
+    from w[i], or None: a vertex is on it when the subtrees read so far leave
+    only its own due, so that it owns the rest of w[i]'s slice."""
+    due = 0  # subtrees due after the current vertex's, within w[i]'s slice
+    while due >= 0:
+        current, degree = _TOKENS[w[i]]
+        if not due and current == tag:
+            return i
+        due += degree - 1
+        i += 1
+    return None
 
 
-def _rightmost_attach(t, subtree, neg: str):
-    """Attach `subtree` under the rightmost leaf, retagged `neg` (weight -q)."""
-    tag, children = t
-    if not children:
-        return (neg, (subtree,))
-    new_last = _rightmost_attach(children[-1], subtree, neg)
-    return (tag, children[:-1] + (new_last,))
-
-
-def _rightmost_detach(t, neg: str, leaf: str):
-    """The inverse of _rightmost_attach: (t with the first `neg` vertex on its
-    rightmost path made a `leaf` leaf, that vertex's subtree), or None."""
-    tag, children = t
-    if tag == neg:
-        return (leaf, ()), children[0]
-    found = _rightmost_detach(children[-1], neg, leaf) if children else None
-    if found is None:
-        return None
-    return (tag, children[:-1] + (found[0],)), found[1]
-
-
-def _psi_rec(t, family: str):
+def _psi_word(w, family: str):
+    """psi on a word.  The structural cases walk down to a vertex x and edit
+    two tokens.  Attach: x's first subtree is complete, so its rightmost leaf,
+    its slice's last token, becomes a `neg` vertex, and x's next subtree, the
+    slice after it, moves under it as x loses a child.  Detach, the inverse:
+    the first `neg` vertex on the rightmost path of x's subtree below the
+    transparent chain is made a leaf, and its subtree, the rest of that
+    slice, becomes x's next child.  No other token moves."""
+    toggled = _toggle_word(w)
+    if toggled is not None:
+        return toggled
+    if _is_fixed_word(w, family):
+        raise FixedElementError("psi is undefined on the fixed set")
     info = _FAMILY[family]
-    neg, leaf, transparent = info["neg"], info["leaf"], info["transparent"]
-    tag, children = t
+    neg, transparent = info["neg"], info["transparent"]
+    # x with all its children, or (all_children False) x as unary over the
+    # subtree at `child`, its other children left as they are
+    x, child, all_children = 0, 1, True
+    while True:
+        if all_children and _TOKENS[w[x]][1] >= 2:
+            end = _end(w, child)
+            if _is_complete(w[child:end], transparent):
+                return _retag(w, x, -1, end - 1, _token(neg, 1))
+        core = child
+        while _TOKENS[w[core]] == (transparent, 1):
+            core += 1
+        if _TOKENS[w[core]][1] > 2:
+            x, child, all_children = core, core + 1, True
+            continue
+        cut = _rightmost(w, core, neg)
+        if cut is not None and _is_complete(w[core:cut], transparent):
+            return _retag(w, x, 1, cut, _token(info["leaf"], 0))
+        # core is binary: go into its left subtree unless that is complete
+        right = _end(w, core + 1)
+        complete = _is_complete(w[core + 1:right], transparent)
+        x, child, all_children = core, right if complete else core + 1, False
 
-    if len(children) >= 2:
-        first = children[0]
-        if _is_complete(first, transparent):
-            modified = _rightmost_attach(first, children[1], neg)
-            return (tag, (modified,) + children[2:])
-        result = _psi_rec((tag, (first,)), family)
-        return (result[0], result[1] + children[1:])
 
-    # unary root
-    chain, core = _chase(children[0], transparent)
-    if len(core[1]) > 2:
-        inner = _psi_rec(core, family)
-        return (tag, (_chain(transparent, chain, inner),))
-
-    # core has out-degree 1 or 2
-    found = _rightmost_detach(core, neg, leaf)
-    if found is not None and _is_complete(found[0], transparent):
-        return (tag, (_chain(transparent, chain, found[0]), found[1]))
-
-    left, right = core[1]
-    if not _is_complete(left, transparent):
-        result = _psi_rec((core[0], (left,)), family)
-        new_core = (result[0], result[1] + (right,))
-    else:
-        result = _psi_rec((core[0], (right,)), family)
-        new_core = (result[0], (left,) + result[1])
-    return (tag, (_chain(transparent, chain, new_core),))
+def _retag(w, x: int, shift: int, y: int, token: int):
+    """w with x's out-degree shifted by `shift` and w[y] (y > x) made `token`."""
+    tag, degree = _TOKENS[w[x]]
+    return w[:x] + (_token(tag, degree + shift),) + w[x + 1:y] + (token,) + w[y + 1:]
 
 
 # -- involution certificates --------------------------------------------------------
@@ -863,11 +829,10 @@ def _involution(family: str):
         )
     if family not in _FAMILY:
         raise ValueError(f"unknown family {family!r}")
-    fixed_set = fixed_set_P if family == "P" else fixed_set_Q
     return (
         _FAMILY[family]["cap"], partial(_iter_family_trees, family=family),
         partial(_is_fixed_word, family=family), partial(_psi_word, family=family), _word_key,
-        _serialize_word, lambda n: map(_word, fixed_set(n)),
+        _serialize_word, partial(_fixed_words, family=family),
     )
 
 

@@ -268,11 +268,6 @@ def integral_representation_check(n: int) -> CheckResult:
     return _result("integral_representation", n, narayana_poly(n), value)
 
 
-def _times_linear(p: list, c0: int, c1: int) -> list:
-    """The int coefficients of p(k) * (c0 + c1 k), low degree first."""
-    return [c0 * a + c1 * b for a, b in zip(p + [0], [0] + p)]
-
-
 def lemma_difference_argument(n: int) -> bool:
     """Certify f_n(q) = 0 in integers only, without expanding f_n.
 
@@ -307,17 +302,15 @@ def lemma_difference_argument(n: int) -> bool:
             return False
     if any(binomial(j, i) != binomial(j, j - i) for j in range(big + 1) for i in range(j + 1)):
         return False
-    # low window: tie F_j to the stored coefficients
-    narayana_part = [1]  # F_j
-    for j in range(1, n + 2):
-        den = math.factorial(j) * math.factorial(j - 1)
-        for k, c in enumerate(stored):
-            value = 0
-            for a in reversed(narayana_part):
-                value = value * k + a
+    # low window: tie F_j to the stored coefficients, F_j(k) grown as a value
+    # by F_1 = 1 and F_{j+1}(k) = F_j(k) (k + 2 - j)(k + 1 - j)
+    dens = [math.factorial(j) * math.factorial(j - 1) for j in range(1, n + 2)]
+    for k, c in enumerate(stored):
+        value = 1
+        for j, den in enumerate(dens, 1):
             if divmod(value, den) != ((c[j] if j < len(c) else 0), 0):
                 return False
-        narayana_part = _times_linear(_times_linear(narayana_part, 2 - j, 1), 1 - j, 1)
+            value *= (k + 2 - j) * (k + 1 - j)
     return True
 
 

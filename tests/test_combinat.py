@@ -305,12 +305,13 @@ class TestInvolutions:
                     if toggled is None and cb.is_fixed_tree(t, family):
                         continue
                     moving += 1
-                    expected = toggled if toggled is not None else cb._psi_rec(t, family)
+                    expected = toggled if toggled is not None else _reference_psi_rec(t, family)
                     assert cb.psi(t, family) == expected
         assert moving > 1000
 
     @pytest.mark.parametrize("leaf,neg", [("q", "mq"), ("q2", "mq2")])
     def test_rightmost_detach_inverts_attach(self, leaf, neg):
+        # on the nested reference psi that the word psi is compared against
         def weighted(shape):
             return ("1", tuple(map(weighted, shape))) if shape else (leaf, ())
 
@@ -319,13 +320,23 @@ class TestInvolutions:
             weighted(((), ())), ("2q", (weighted(((), ())),)),
         ]
         trees = [
-            weighted(shape) for v in range(1, 10, 2) for shape in cb._complete_binary_shapes(v)
+            weighted(shape) for v in range(1, 10, 2)
+            for shape in _reference_complete_binary_shapes(v)
         ]
         assert len(trees) == 1 + 1 + 2 + 5 + 14
         for t in trees:
-            assert cb._rightmost_detach(t, neg, leaf) is None
+            assert _rightmost_detach(t, neg, leaf) is None
             for s in subtrees:
-                assert cb._rightmost_detach(cb._rightmost_attach(t, s, neg), neg, leaf) == (t, s)
+                assert _rightmost_detach(_rightmost_attach(t, s, neg), neg, leaf) == (t, s)
+
+    def test_certifier_builds_no_nested_tree(self, monkeypatch):
+        def nested(w):
+            raise AssertionError("a nested tree was built")
+
+        monkeypatch.setattr(cb, "_tree", nested)
+        for family, n in (("P", 6), ("Q", 5)):
+            report = cb.involution_verify(family, n, collect_pairs=True)
+            assert report.certified and report.pairs, family
 
 
 def _reference_toggle(t):
@@ -364,11 +375,193 @@ def _reference_key(t):
 
 def _is_fixed_nested(t, family):
     """psi's fixed set by the nested predicate: a unary root above a tree
-    that `_is_complete` accepts."""
+    that `_reference_is_complete` accepts."""
     children = t[1]
-    return len(children) == 1 and cb._is_complete(
+    return len(children) == 1 and _reference_is_complete(
         children[0], cb._FAMILY[family]["transparent"]
     )
+
+
+# -- nested references: the shapes, fixed sets and psi's structural cases on
+# nested trees that the word code replaced, compared with it below ------------
+
+
+@lru_cache(maxsize=None)
+def _reference_children_seqs(total):
+    """All ordered forests (tuples of shapes) with the given vertex total."""
+    if total == 0:
+        return ((),)
+    out = []
+    for first_size in range(1, total + 1):
+        for first in _reference_tree_shapes(first_size):
+            for rest in _reference_children_seqs(total - first_size):
+                out.append((first,) + rest)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _reference_tree_shapes(vertices):
+    """All plane tree shapes with the given vertex count; a shape is its
+    tuple of child shapes."""
+    if vertices < 1:
+        return ()
+    return _reference_children_seqs(vertices - 1)
+
+
+@lru_cache(maxsize=None)
+def _reference_complete_binary_shapes(vertices):
+    if vertices % 2 == 0:
+        return ()
+    if vertices == 1:
+        return ((),)
+    out = []
+    for left_size in range(1, vertices - 1, 2):
+        for left in _reference_complete_binary_shapes(left_size):
+            for right in _reference_complete_binary_shapes(vertices - 1 - left_size):
+                out.append((left, right))
+    return tuple(out)
+
+
+def _degrees(shape):
+    """A nested shape's out-degrees in pre-order."""
+    return (len(shape),) + tuple(d for child in shape for d in _degrees(child))
+
+
+def _reference_fixed_set(n, family):
+    """Fixed trees of psi: a root above a complete binary tree, with the
+    family's transparent unary vertices (2q in Q, none in P) inserted into
+    its edges."""
+    info = cb._FAMILY[family]
+    transparent = info["transparent"]
+    out = []
+    for k in range(n // 2 + 1):
+        extra = n - 2 * k
+        if extra and transparent is None:
+            continue
+        for shape in _reference_complete_binary_shapes(2 * k + 1):
+            # 2k+1 edges: the root edge plus the 2k edges of the subtree
+            for comp in cb._compositions(extra, 2 * k + 1):
+                out.append(_chained_tree((shape,), info["leaf"], transparent, iter(comp)))
+    return out
+
+
+def _chained_tree(shape, leaf, transparent, lengths):
+    """Weight `shape`, with a chain of next(lengths) transparent unary
+    vertices above each child, taken in pre-order."""
+    if not shape:
+        return (leaf, ())
+    return ("1", tuple(
+        _chain(transparent, next(lengths), _chained_tree(child, leaf, transparent, lengths))
+        for child in shape
+    ))
+
+
+def _chain(tag, length, node):
+    for _ in range(length):
+        node = (tag, (node,))
+    return node
+
+
+def _reference_is_complete(t, transparent):
+    """Complete binary once unary vertices tagged `transparent` are skipped."""
+    tag, children = t
+    if not children:
+        return True
+    if len(children) == 2:
+        return (_reference_is_complete(children[0], transparent)
+                and _reference_is_complete(children[1], transparent))
+    if len(children) == 1 and tag == transparent:
+        return _reference_is_complete(children[0], transparent)
+    return False
+
+
+def _chase(t, transparent):
+    """Skip a chain of transparent unary vertices; returns (chain length, core)."""
+    chain = 0
+    while len(t[1]) == 1 and t[0] == transparent:
+        chain += 1
+        t = t[1][0]
+    return chain, t
+
+
+def _rightmost_attach(t, subtree, neg):
+    """Attach `subtree` under the rightmost leaf, retagged `neg` (weight -q)."""
+    tag, children = t
+    if not children:
+        return (neg, (subtree,))
+    new_last = _rightmost_attach(children[-1], subtree, neg)
+    return (tag, children[:-1] + (new_last,))
+
+
+def _rightmost_detach(t, neg, leaf):
+    """The inverse of _rightmost_attach: (t with the first `neg` vertex on its
+    rightmost path made a `leaf` leaf, that vertex's subtree), or None."""
+    tag, children = t
+    if tag == neg:
+        return (leaf, ()), children[0]
+    found = _rightmost_detach(children[-1], neg, leaf) if children else None
+    if found is None:
+        return None
+    return (tag, children[:-1] + (found[0],)), found[1]
+
+
+def _reference_psi_rec(t, family):
+    """psi's structural cases, recursively on the nested tree."""
+    info = cb._FAMILY[family]
+    neg, leaf, transparent = info["neg"], info["leaf"], info["transparent"]
+    tag, children = t
+
+    if len(children) >= 2:
+        first = children[0]
+        if _reference_is_complete(first, transparent):
+            modified = _rightmost_attach(first, children[1], neg)
+            return (tag, (modified,) + children[2:])
+        result = _reference_psi_rec((tag, (first,)), family)
+        return (result[0], result[1] + children[1:])
+
+    # unary root
+    chain, core = _chase(children[0], transparent)
+    if len(core[1]) > 2:
+        inner = _reference_psi_rec(core, family)
+        return (tag, (_chain(transparent, chain, inner),))
+
+    # core has out-degree 1 or 2
+    found = _rightmost_detach(core, neg, leaf)
+    if found is not None and _reference_is_complete(found[0], transparent):
+        return (tag, (_chain(transparent, chain, found[0]), found[1]))
+
+    left, right = core[1]
+    if not _reference_is_complete(left, transparent):
+        result = _reference_psi_rec((core[0], (left,)), family)
+        new_core = (result[0], result[1] + (right,))
+    else:
+        result = _reference_psi_rec((core[0], (right,)), family)
+        new_core = (result[0], (left,) + result[1])
+    return (tag, (_chain(transparent, chain, new_core),))
+
+
+class TestShapesAndFixedSets:
+    """The degree sequences and fixed words the word code generates, in the
+    order of the nested shapes and fixed trees they replaced."""
+
+    def test_shapes_in_nested_order(self):
+        for v in range(12):
+            assert cb._tree_shapes(v) == tuple(map(_degrees, _reference_tree_shapes(v))), v
+            assert cb._complete_binary_shapes(v) == tuple(
+                map(_degrees, _reference_complete_binary_shapes(v))
+            ), v
+        for total in range(11):
+            assert cb._children_seqs(total) == tuple(
+                tuple(d for shape in forest for d in _degrees(shape))
+                for forest in _reference_children_seqs(total)
+            ), total
+
+    @pytest.mark.parametrize("family,top", [("P", 9), ("Q", 8)])
+    def test_fixed_sets_in_nested_order(self, family, top):
+        for n in range(top + 1):
+            got = getattr(cb, f"fixed_set_{family}")(n)
+            assert got == _reference_fixed_set(n, family), (family, n)
+            assert list(cb._fixed_words(n, family)) == list(map(cb._word, got))
 
 
 class TestWords:
@@ -758,8 +951,8 @@ class TestCertificateMutants:
         assert report.counterexample is None
 
     def test_fixed_set_missing_an_element(self, monkeypatch):
-        real = cb.fixed_set_P
-        monkeypatch.setattr(cb, "fixed_set_P", lambda n: real(n)[1:])
+        real = cb._fixed_words
+        monkeypatch.setattr(cb, "_fixed_words", lambda n, family: list(real(n, family))[1:])
         report = _report_against_reference("P", 4)
         assert report.failures == {**NO_FAILURES, "fixed_set_match": 1, "total_weight": 1}
         assert report.counterexample is None
@@ -812,7 +1005,9 @@ def _reference_weight_tree(family, n, k):
         marks[sum(e for _, e in tags)] += prod(c for c, _ in tags)
     leaf_coeff, leaf_exponent = info["leaf_weight"]
     counts = [0] * (leaf_exponent * (n + 2) + max(marks) + 1)
-    for _, unary, leaves in cb._shape_info(n + 2):
+    for degrees in cb._tree_shapes(n + 2):
+        unary = [i for i, d in enumerate(degrees) if d == 1 and i]
+        leaves = degrees.count(0)
         if len(unary) < m:
             continue
         scale, base = leaf_coeff**leaves, leaf_exponent * leaves

@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -136,6 +137,12 @@ class TestLemma:
     def test_difference_argument(self):
         for n in range(8):
             assert lemma_difference_argument(n)
+
+    def test_difference_argument_at_200_in_seconds(self):
+        # F_j(k) is grown as a value, k by k, not evaluated from its coefficients
+        start = time.perf_counter()
+        assert lemma_difference_argument(200)
+        assert time.perf_counter() - start < 5
 
     def test_window_reversal_symmetry(self):
         # even if f_n were nonzero, its construction forces the palindrome

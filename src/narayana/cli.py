@@ -26,10 +26,7 @@ ROW_TABLE_CAP = 300  # the same for a sequence of coefficient rows (output ~ n^3
 
 
 def _frac_str(f) -> str:
-    f = Fraction(f)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(f if type(f) is int else Fraction(f))
 
 
 def _value_repr(v):

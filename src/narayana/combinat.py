@@ -344,6 +344,13 @@ def _tree_shapes(vertices: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _unary_positions(vertices: int) -> tuple[tuple[int, ...], ...]:
+    """Each shape's non-root unary positions, in `_tree_shapes` order."""
+    shapes = _tree_shapes(vertices)
+    return tuple(tuple(i for i, d in enumerate(s) if i and d == 1) for s in shapes)
+
+
+@lru_cache(maxsize=None)
 def _shape_tally(vertices: int) -> tuple[tuple[tuple[int, int], int], ...]:
     """How many shapes with the given vertex count have each (non-root unary
     count, leaf count)."""
@@ -463,8 +470,7 @@ def _iter_family_trees(n: int, k: int, family: str) -> Iterator[tuple[int, ...]]
     leaf = _token(info["leaf"], 0)
     marks = [_token(mark, 1) for mark in info["marks"]]
     unit = _token("1", 1)
-    for degrees in _tree_shapes(n + 2):
-        unary = [i for i in range(1, len(degrees)) if degrees[i] == 1]
+    for degrees, unary in zip(_tree_shapes(n + 2), _unary_positions(n + 2)):
         if len(unary) < marks_needed:
             continue
         word = [_token("1", d) if d else leaf for d in degrees]

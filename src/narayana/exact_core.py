@@ -252,25 +252,28 @@ class QPolynomial:
 
 
 def horner(base: QPolynomial, terms: Iterable) -> QPolynomial:
-    """sum_k a_k base^(m-k) for the terms a_0, ..., a_m (scalars or
-    polynomials), by Horner's rule (Knuth, TAOCP vol. 2, 4.6.4): highest power
-    of base first, one product by base per term.  In base's indeterminate.
+    """sum_k a_k base^(m-k) for the terms a_0, ..., a_m (scalars, polynomials,
+    or (scale, polynomial) pairs standing for their product), by Horner's rule
+    (Knuth, TAOCP vol. 2, 4.6.4): highest power of base first, one product by
+    base per term.  In base's indeterminate.
 
-    The sum runs on one coefficient list: every term is scaled by the common
-    denominator d of all term coefficients, so with an integer base each step
-    is `int` arithmetic, and the list is divided by d once at the end.  The
+    The sum runs on one coefficient list: every term, a pair's scale included,
+    is scaled by a common denominator d, so with an integer base each step is
+    `int` arithmetic, and the list is divided by d once at the end.  The
     indeterminate follows `acc * base + a` step by step: a constant partial
     product takes the next term's indeterminate, and two non-constant operands
     in different indeterminates raise IndeterminateMismatchError.
     """
-    polys = [
-        (a.coeffs, a.var) if isinstance(a, QPolynomial) else ((_as_scalar(a),), None)
-        for a in terms
-    ]
-    d = math.lcm(*{c.denominator for cs, _ in polys for c in cs if type(c) is not int})
+    polys = []
+    for a in terms:
+        s, a = (_as_scalar(a[0]), a[1]) if type(a) is tuple else (1, a)
+        cs, a_var = (a.coeffs, a.var) if isinstance(a, QPolynomial) else ((_as_scalar(a),), None)
+        polys.append((s, cs if s else (), a_var))
+    d = math.lcm(*{s.denominator for s, _, _ in polys if type(s) is not int}) * math.lcm(
+        *{c.denominator for _, cs, _ in polys for c in cs if type(c) is not int})
     b, n_b = base.coeffs, len(base.coeffs)
     acc, var = [], base.var
-    for cs, a_var in polys:
+    for s, cs, a_var in polys:
         if len(acc) > 1 and n_b > 1 and var != base.var:
             raise IndeterminateMismatchError(
                 f"cannot combine polynomials in {var!r} and {base.var!r}"
@@ -292,8 +295,9 @@ def horner(base: QPolynomial, terms: Iterable) -> QPolynomial:
                 f"cannot combine polynomials in {var!r} and {a_var!r}"
             )
         acc.extend([0] * (len(cs) - len(acc)))
+        sd = s * d if type(s) is int else s.numerator * (d // s.denominator)
         for i, c in enumerate(cs):
-            acc[i] += c * d if type(c) is int else c.numerator * (d // c.denominator)
+            acc[i] += c * sd if type(c) is int else c.numerator * (sd // c.denominator)
         while acc and not acc[-1]:
             acc.pop()
     return QPolynomial(acc if d == 1 else [Fraction(c, d) for c in acc], var)
@@ -314,19 +318,25 @@ def finite_difference_check(n: int, r: int) -> QPolynomial:
 
 
 def _combine(terms, divisor: int = 1) -> QPolynomial:
-    """sum(weight * p for weight, p in terms) / divisor, summed in one list of
-    coefficients rather than one QPolynomial per partial sum."""
+    """sum(weight * f * g for weight, f, g in terms) / divisor, each product
+    summed straight into one list of coefficients, never built as a
+    QPolynomial.  Terms with a zero factor are skipped; the others' non-constant
+    factors must share one indeterminate (else IndeterminateMismatchError)."""
     acc, var = [], None
-    for weight, p in terms:
-        if not p.is_constant:
-            if var not in (None, p.var):
+    for weight, f, g in terms:
+        if not (f.coeffs and g.coeffs):
+            continue
+        for p in (f, g):
+            if len(p.coeffs) > 1 and var not in (None, p.var):
                 raise IndeterminateMismatchError(
-                    f"cannot combine polynomials in {var!r} and {p.var!r}"
-                )
-            var = p.var
-        acc.extend([0] * (len(p.coeffs) - len(acc)))
-        for d, c in enumerate(p.coeffs):
-            acc[d] += weight * c
+                    f"cannot combine polynomials in {var!r} and {p.var!r}")
+            var = p.var if len(p.coeffs) > 1 else var
+        acc.extend([0] * (len(f.coeffs) + len(g.coeffs) - 1 - len(acc)))
+        for d, cf in enumerate(f.coeffs):
+            if cf:
+                cf *= weight
+                for e, cg in enumerate(g.coeffs, d):
+                    acc[e] += cf * cg
     return QPolynomial([Fraction(c, divisor) for c in acc] if divisor != 1 else acc, var or "q")
 
 
@@ -412,7 +422,7 @@ class PolySeries:
             for j, b in right:
                 if i + j > n:
                     break
-                terms[i + j].append((1, a * b))
+                terms[i + j].append((1, a, b))
         return PolySeries([_combine(t) for t in terms], n)
 
     __rmul__ = __mul__
@@ -420,14 +430,14 @@ class PolySeries:
     def _power(self, alpha: Fraction) -> "PolySeries":
         """self^alpha for rational alpha = a/b, the constant coefficient being 1, by
         J.C.P. Miller's recurrence b n y_n = sum_i ((a + b) i - b n) f_i y_{n-i}
-        over the nonzero f_i only (Knuth, TAOCP vol. 2, 4.7): one polynomial
-        product per nonzero coefficient of self and output coefficient."""
+        over the nonzero f_i only (Knuth, TAOCP vol. 2, 4.7): one product term
+        per nonzero coefficient of self and output coefficient."""
         a, b = alpha.numerator, alpha.denominator
         terms = [(i, f) for i, f in enumerate(self.coeffs) if i and not f.is_zero]
         out = [QPolynomial.one()]
         for n in range(1, self.order + 1):
             weighted = [
-                ((a + b) * i - b * n, f * out[n - i])
+                ((a + b) * i - b * n, f, out[n - i])
                 for i, f in terms
                 if i <= n and (a + b) * i != b * n
             ]
@@ -471,13 +481,13 @@ class PolySeries:
             raise SeriesPreconditionError(
                 f"composition needs zero inner constant term, got {inner.coeffs[0]!r}"
             )
-        terms = [[(1, self.coeffs[0])]] + [[] for _ in range(self.order)]
+        terms = [[(1, self.coeffs[0], QPolynomial.one())]] + [[] for _ in range(self.order)]
         power = PolySeries.one(self.order)
         for c in self.coeffs[1:]:
             power = power * inner
             for m, p in enumerate(power.coeffs):
                 if not (p.is_zero or c.is_zero):
-                    terms[m].append((c.coeffs[0], p) if c.is_constant else (1, c * p))
+                    terms[m].append((1, c, p))
         return PolySeries([_combine(t) for t in terms], self.order)
 
     def shift_down(self, m: int) -> "PolySeries":

@@ -22,8 +22,9 @@ monomials c q^j are built directly, never as powers of q.
 
 Sums that recur have one body each:
 - `_EXPANSIONS` holds the paper's expansions (3.7)-(3.9) as family ->
-  (B, a(n, k)); `expansion` sums one by Horner's rule and `expansion_term` is
-  its summand k, the weight of family D, P or Q at (n, k).  (3.8)'s sum at
+  (B, (scale, polynomial)); `expansion` sums one by Horner's rule, the pairs
+  scaled into horner's own list, and `expansion_term` is its summand k
+  multiplied out, the weight of family D, P or Q at (n, k).  (3.8)'s sum at
   m = 2n+1 is -f_n and at m = 2n is catlan2's rhs;
 - `_alternating_catalan(m, b)` = sum_k (-1)^k binom(m, k) C_{k+1} b^(m-k) is
   (3.8) at q = 1 (m = 2n, b = 2) and (3.9) at q = -1 (m = n, b = 4);
@@ -106,15 +107,16 @@ def _at_q_squared(p: QPolynomial) -> QPolynomial:
 
 
 # The paper's expansions (3.7), (3.8) and (3.9): family -> (B, a(n, k)), the
-# sum being sum_{k=0}^{n} a(n, k) B^(n-k).  The lambdas look binomial and
+# sum being sum_{k=0}^{n} a(n, k) B^(n-k) with a(n, k) a (scale, polynomial)
+# pair that horner multiplies out.  The lambdas look binomial and
 # narayana_poly up when called, so a replaced module attribute is what runs.
 _EXPANSIONS = {
     "D": (_ONE_MINUS_Q, lambda n, k: (
-        Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1) * narayana_poly(k)
+        Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1), narayana_poly(k)
     )),
-    "P": (_MINUS_ONE_MINUS_Q, lambda n, k: binomial(n, k) * narayana_poly(k + 1)),
+    "P": (_MINUS_ONE_MINUS_Q, lambda n, k: (binomial(n, k), narayana_poly(k + 1))),
     "Q": (_MINUS_ONE_MINUS_Q_SQUARED, lambda n, k: (
-        binomial(n, k) * _at_q_squared(narayana_poly(k + 1))
+        binomial(n, k), _at_q_squared(narayana_poly(k + 1))
     )),
 }
 
@@ -132,7 +134,7 @@ def expansion_term(family: str, n: int, k: int) -> QPolynomial:
     base, summand = _EXPANSIONS[family]
     if not 0 <= k <= n:
         return QPolynomial.zero("q")
-    return summand(n, k) * base ** (n - k)
+    return mul(*summand(n, k)) * base ** (n - k)
 
 
 def f_poly(n: int) -> QPolynomial:
@@ -142,11 +144,10 @@ def f_poly(n: int) -> QPolynomial:
 
 
 def _app_pow2_rhs(n: int) -> Fraction:
-    rhs = Fraction(0)
-    for r in range((n - 1) // 2 + 1):
-        c = Fraction((4 * r + 3) * binomial(2 * n + 1, n - 2 * r - 1), 2 * n + 1)
-        rhs += (-1) ** r * c * 2 ** (n - 2 * r - 1) * _catalan_rec(r)
-    return rhs
+    return Fraction(sum(
+        (-1) ** r * (4 * r + 3) * binomial(2 * n + 1, n - 2 * r - 1)
+        * 2 ** (n - 2 * r - 1) * _catalan_rec(r) for r in range((n - 1) // 2 + 1)
+    ), 2 * n + 1)
 
 
 def _alternating_catalan(m: int, b: int) -> Fraction:
@@ -159,14 +160,15 @@ def _alternating_catalan(m: int, b: int) -> Fraction:
 def _app_recurrence(n: int, point: int, seq, shift: int, powers_of_two: bool) -> Fraction:
     """sum_{k=0}^{m} (-1)^k binom(m, k) N_{k+1}(point) G_j [2^j], the rhs of
     point^{n+1} C_{m+1}, with m = 2n + (shift > 0), j = 4n - 2k + shift and
-    G = seq."""
+    G = seq.  Summed in `int`, 2^j (j >= -1) as a shift by j + 1 over one
+    final halving."""
     m = 2 * n + (shift > 0)
-    rhs = Fraction(0)
+    total = 0
     for k in range(m + 1):
         j = 4 * n - 2 * k + shift
         term = binomial(m, k) * narayana_poly(k + 1)(point) * seq(j)
-        rhs += (-1) ** k * (term * Fraction(2) ** j if powers_of_two else term)
-    return rhs
+        total += (-1) ** k * (term << (j + 1) if powers_of_two else term)
+    return Fraction(total, 2 if powers_of_two else 1)
 
 
 # tag -> (minimum admissible n, lhs(n), rhs(n)).  Each side names its helpers
@@ -210,10 +212,9 @@ _REGISTRY = {
     "lemma_f_zero": (0, lambda n: f_poly(n), lambda n: QPolynomial.zero("q")),
     "catlan2": (0, lambda n: QPolynomial.monomial(catalan(n), n + 1, "q"),
                 lambda n: expansion("P", 2 * n)),
-    "alt_sum_310": (1, lambda n: sum(
-        Fraction((-1) ** k * (2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
-        for k in range(n + 1)
-    ), lambda n: Fraction(0)),
+    "alt_sum_310": (1, lambda n: Fraction(sum(
+        (-1) ** k * (2 * k + 1) * binomial(2 * n + 1, n - k) for k in range(n + 1)
+    ), 2 * n + 1), lambda n: Fraction(0)),
     "app_pow2": (0, lambda n: (2**n - 1) * catalan(n), _app_pow2_rhs),
     # (3.8) at q = 1 and (3.9) at q = -1
     "app_q1_38": (0, lambda n: catalan(n), lambda n: _alternating_catalan(2 * n, 2)),

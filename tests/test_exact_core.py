@@ -450,6 +450,96 @@ class TestSeriesAgainstReference:
         assert str(got.value) == str(expected.value)
 
 
+# -- the series product against the one it replaced: one QPolynomial product
+#    per pair of nonzero coefficients, each power's products then summed in
+#    one list, the indeterminate taken from the non-constant products
+
+
+def _reference_combine(products):
+    acc, var = [], None
+    for p in products:
+        if not p.is_constant:
+            if var not in (None, p.var):
+                raise IndeterminateMismatchError(f"{var!r} and {p.var!r}")
+            var = p.var
+        acc.extend([0] * (len(p.coeffs) - len(acc)))
+        for d, c in enumerate(p.coeffs):
+            acc[d] += c
+    return QPolynomial(acc, var or "q")
+
+
+def _reference_pairwise_mul(a, b):
+    n = a.order
+    products = [[] for _ in range(n + 1)]
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs[: n + 1 - i]):
+            if not (x.is_zero or y.is_zero):
+                products[i + j].append(x * y)
+    return PolySeries([_reference_combine(p) for p in products], n)
+
+
+@st.composite
+def mixed_series(draw, order, variables):
+    """Coefficients that are zero, constant or of degree 1-3, each in one of
+    the given indeterminates."""
+    coefficient = st.builds(QPolynomial, st.one_of(
+        st.just([]), small_rationals.map(lambda c: [c]),
+        st.lists(small_rationals, min_size=2, max_size=4),
+    ), st.sampled_from(variables))
+    return PolySeries(draw(st.lists(coefficient, min_size=order + 1, max_size=order + 1)), order)
+
+
+def assert_same_product(a, b):
+    """a * b as the pairwise reference has it: the same coefficients, types and
+    indeterminate at every power, or the same IndeterminateMismatchError."""
+    try:
+        expected = _reference_pairwise_mul(a, b)
+    except IndeterminateMismatchError:
+        with pytest.raises(IndeterminateMismatchError):
+            a * b
+        return
+    got = a * b
+    assert got.order == expected.order
+    for g, e in zip(got.coeffs, expected.coeffs, strict=True):
+        assert_identical(g, e)
+
+
+class TestFusedSeriesProduct:
+    @given(st.integers(0, 8), st.sampled_from(["q", "x", "qx"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_products(self, order, variables, data):
+        a = data.draw(mixed_series(order, variables))
+        assert_same_product(a, data.draw(mixed_series(order, variables)))
+
+    @pytest.mark.parametrize("a, b", [
+        (PolySeries.zero(4), PolySeries([1, QPolynomial((1, 2), "x")], 4)),
+        (PolySeries([2, Fraction(1, 3), 0, 5], 4), PolySeries([Fraction(3, 2), 0, 7], 4)),
+        (PolySeries([QPolynomial((3,), "x"), QPolynomial((0, 1), "q")], 3),
+         PolySeries([QPolynomial((1, -1), "q"), QPolynomial((2,), "x")], 3)),
+        (PolySeries([0, QPolynomial((1, 1), "x")], 3),
+         PolySeries([1, QPolynomial((0, 1), "x")], 3)),
+    ], ids=["zero", "constants", "constants-take-q", "in-x"])
+    def test_zero_and_constant_coefficients(self, a, b):
+        assert_same_product(a, b)
+        assert_same_product(b, a)
+
+    def test_mismatch_raises(self):
+        # q and x meet at x^2 through a_1 b_1, and at x^1 through a_0 b_1 / a_1 b_0
+        a = PolySeries([1, QPolynomial((0, 1), "q")], 2)
+        b = PolySeries([1, QPolynomial((0, 1), "x")], 2)
+        with pytest.raises(IndeterminateMismatchError):
+            _reference_pairwise_mul(a, b)
+        with pytest.raises(IndeterminateMismatchError):
+            a * b
+
+    def test_mismatch_past_the_order_is_not_formed(self):
+        # a_1 b_1 would be q * x, but x^2 is past order 1 and is never multiplied
+        a = PolySeries([0, QPolynomial((0, 1), "q")], 1)
+        b = PolySeries([0, QPolynomial((0, 1), "x")], 1)
+        assert_same_product(a, b)
+        assert a * b == PolySeries.zero(1)
+
+
 # -- horner against the sums it replaced: the loop acc * base + a with one
 #    QPolynomial per step, and the power form sum_k a_k base^(m-k)
 
@@ -521,13 +611,31 @@ class TestHornerAgainstReference:
             return
         assert_identical(horner(base, terms), expected)
 
+    @given(st.sampled_from("qx").flatmap(horner_bases), horner_terms("qx"),
+           st.lists(small_rationals, min_size=6, max_size=6))
+    # a zero scale makes its term the zero polynomial, which mismatches nothing
+    @example(QPolynomial((1, 1), "q"), [QPolynomial((0, 1), "q"), QPolynomial((0, 1), "x")],
+             [1, 0, 1, 1, 1, 1])
+    @settings(max_examples=150, deadline=None)
+    def test_pair_is_its_product(self, base, terms, scales):
+        # a (scale, term) pair sums as scale * term, indeterminate and errors included
+        pairs = list(zip(scales, terms))
+        try:
+            expected = horner(base, [s * a for s, a in pairs])
+        except IndeterminateMismatchError:
+            with pytest.raises(IndeterminateMismatchError):
+                horner(base, pairs)
+            return
+        assert_identical(horner(base, pairs), expected)
+
     @pytest.mark.parametrize("base", [QPolynomial((1, 1), "x"), QPolynomial((3,), "x"),
                                       QPolynomial.zero("x")])
     def test_no_terms_is_zero_in_base_var(self, base):
         assert_identical(horner(base, []), QPolynomial.zero("x"))
         assert_identical(horner(base, iter(())), QPolynomial.zero("x"))
 
-    @pytest.mark.parametrize("terms", [[0.5], [1, 2.0], [2.0, 1], [QPolynomial((1, 1)), 0.25]])
+    @pytest.mark.parametrize("terms", [[0.5], [1, 2.0], [2.0, 1], [QPolynomial((1, 1)), 0.25],
+                                       [(0.5, QPolynomial((1, 1)))]])
     def test_float_term_rejected(self, terms):
         with pytest.raises(TypeError):
             horner(QPolynomial((1, 1), "q"), terms)

@@ -759,19 +759,92 @@ class TestAppRecurrence:
             assert result.equal, (tag, n)
 
 
-# -- mutation audit: one helper of the identities module patched at a time -------
+class TestIntegerFirstSums:
+    """The expansions hand horner (scale, polynomial) pairs, so no summand is
+    a polynomial product, and _app_recurrence sums in int with no Fraction
+    arithmetic, one Fraction built at the end."""
+
+    def test_expansions_form_no_polynomial_products(self, monkeypatch):
+        tags = ("main_37", "main_38", "main_39")
+        for tag in tags:  # fill the narayana_poly cache the expansions read
+            check_identity(tag, 9)
+        calls = Counter()
+        real = QPolynomial.__mul__
+
+        def counting(self, other):
+            calls["QPolynomial.__mul__"] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(QPolynomial, "__mul__", counting)
+        monkeypatch.setattr(QPolynomial, "__rmul__", counting)
+        for family in "DPQ":
+            for n in range(10):
+                identities.expansion(family, n)
+        for tag in tags:
+            for n in range(10):
+                assert check_identity(tag, n).equal, (tag, n)
+        assert calls == Counter()
+        # the counter is live: expansion_term multiplies its pair out
+        identities.expansion_term("P", 3, 1)
+        assert calls["QPolynomial.__mul__"]
+
+    def test_app_recurrence_does_no_fraction_arithmetic(self, monkeypatch):
+        for tag in _REFERENCE_APP_SIDES:  # fill the sequence caches
+            check_identity(tag, 8)
+        calls = Counter()
+
+        def counting(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return wrapper
+
+        for attr in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__"):
+            monkeypatch.setattr(Fraction, attr, counting(attr, vars(Fraction)[attr]))
+        rows = [(identities._REGISTRY[tag][1], identities._REGISTRY[tag][2])
+                for tag in sorted(_REFERENCE_APP_SIDES)]
+        for n in range(9):
+            for lhs, rhs in rows:
+                got = rhs(n)
+                assert type(got) is Fraction and got == lhs(n), n
+        assert calls == Counter()
+        # the counters are live: the separate body raises Fraction(2) to 2^j
+        _reference_app_lucas(1)
+        assert calls["__pow__"]
+
+
+# -- mutation audit: one helper of the identities module, or one exact_core
+#    primitive on its class, patched at a time --------------------------------
 
 _AUDIT_MAX_N = 8
 
 def _undivided_horner(real, base, terms):
     """horner as if it dropped its final division by a common denominator of 2:
     the sum doubled whenever some term has a coefficient that is not an int.
-    (A division by the true d, dropped, would go unseen here: every sum that
-    identities passes to horner has whole coefficients at n <= 8, so d = 1.)"""
+    A (scale, polynomial) term is read as horner takes it in, each coefficient
+    times _as_scalar(scale).  (A division by the true d, dropped, would go
+    unseen here: every sum that identities passes to horner has whole
+    coefficients at n <= 8, so d = 1.)"""
     terms = list(terms)
-    coeffs = [c for a in terms for c in (a.coeffs if isinstance(a, QPolynomial) else (a,))]
+    coeffs = [
+        exact_core._as_scalar(scale) * c
+        for scale, a in ((a if type(a) is tuple else (1, a)) for a in terms)
+        for c in (a.coeffs if isinstance(a, QPolynomial) else (a,))
+    ]
     total = real(base, terms)
     return 2 * total if any(type(c) is not int for c in coeffs) else total
+
+
+def _dropped_cross_term(real, a, b):
+    """The series product without a_1 b_1, one cross term of its x^2 coefficient."""
+    product = real(a, b)
+    if not isinstance(b, exact_core.PolySeries) or product.order < 2:
+        return product
+    coeffs = list(product.coeffs)
+    coeffs[2] = coeffs[2] - a.coeffs[1] * b.coeffs[1]
+    return exact_core.PolySeries(coeffs, product.order)
 
 
 # helper -> mutant factory (given the real helper): one entry off by one each,
@@ -797,6 +870,9 @@ _MUTANTS = {
     ],
     "_alternating_catalan": lambda real: lambda m, b: real(m, b) + (m == 4),
     "_app_recurrence": lambda real: lambda n, *rest: real(n, *rest) + (n == 3),
+    # a primitive of exact_core, patched on its class (as a function, which
+    # binds as a method where a partial would not)
+    "PolySeries.__mul__/dropped": lambda real: lambda a, b: _dropped_cross_term(real, a, b),
 }
 
 # helper -> the checks that fail for some n <= 8 under its mutant; up to
@@ -836,18 +912,27 @@ _CAUGHT_BY = {
     "_narayana_direct": {"coker_a1", "coker_b1"},
     "_alternating_catalan": {"app_q1_38", "app_qm1_39"},
     "_app_recurrence": {"app_fibonacci", "app_lucas", "app_pell_even", "app_pell_odd"},
+    # not omega_closed_form or legendre_gf: they take a series power and
+    # scalar multiples, never a product of two series
+    "PolySeries.__mul__/dropped": {"omega_composition_first", "omega_composition_second"},
 }
 
 
 def _failing_checks() -> set:
-    """The registered checks and the integral representation that fail for
-    some admissible n <= _AUDIT_MAX_N."""
+    """The registered checks, the integral representation and the series
+    checks that fail for some admissible n (or order) <= _AUDIT_MAX_N."""
     runs = [
         (tag, partial(check_identity, tag), range(identity_min_n(tag), _AUDIT_MAX_N + 1))
         for tag in IDENTITY_TAGS
     ]
-    runs.append(("integral_representation", integral_representation_check,
-                 range(1, _AUDIT_MAX_N + 1)))
+    positive = range(1, _AUDIT_MAX_N + 1)
+    runs += [
+        ("integral_representation", integral_representation_check, positive),
+        ("omega_closed_form", series.omega_closed_form_check, positive),
+        ("omega_composition_first", partial(series.omega_composition_check, "first"), positive),
+        ("omega_composition_second", partial(series.omega_composition_check, "second"), positive),
+        ("legendre_gf", series.legendre_gf_check, range(_AUDIT_MAX_N + 1)),
+    ]
     return {name for name, check, ns in runs if not all(check(n).equal for n in ns)}
 
 
@@ -857,8 +942,9 @@ class TestMutationAudit:
 
     @pytest.mark.parametrize("helper", sorted(_MUTANTS))
     def test_catch_set(self, monkeypatch, helper):
-        name = helper.split("/")[0]
-        monkeypatch.setattr(identities, name, _MUTANTS[helper](getattr(identities, name)))
+        owner, _, name = helper.split("/")[0].rpartition(".")
+        target = getattr(exact_core, owner) if owner else identities
+        monkeypatch.setattr(target, name, _MUTANTS[helper](getattr(target, name)))
         assert _failing_checks() == _CAUGHT_BY[helper]
 
     def test_zero_f_poly_is_a_blind_spot(self, monkeypatch, narayana_mutant):

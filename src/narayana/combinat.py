@@ -3,14 +3,14 @@ involutions that prove the three Catalan/Narayana expansions.
 
 Dyck paths are U/D strings.  A weighted Dyck path carries one tag per
 up-step, left to right: 0 for weight 1, +1 for weight q, -1 for weight -q.
-Decorated elements keep the tuple structure (base path plus insertions)
-for the weight sums, which run per k over base paths and insertion sizes,
-none of which a flattened path shows.  The involution acts on flattened
-paths; no two decorated elements of one size flatten alike (checked by full
-enumeration for n <= 7), so flattening merges no elements.  Its paths are
-enumerated flat, each insertion tuple's steps joined once for all its sign
-patterns; `flatten` stays as the reference they are tested against.  phi
-reads each word's primitive components from a per-word cache.
+Decorated elements (base path plus insertions) are family D's public form.
+The involution acts on flattened paths; no two decorated elements of one
+size flatten alike (checked by full enumeration for n <= 7).  D and its
+all-(+-q) subfamily are enumerated flat by one generator, each insertion
+tuple's steps joined once for all its sign patterns; `flatten` stays as the
+reference they are tested against.  phi reads each word's primitive
+components from a per-word cache.  The weight sums of D, P and Q build no
+element: one tally of the m-fold mark products, scaled by class counts.
 
 Weighted plane trees are nested pairs (tag, children) only at the public
 boundary.  Tags: "1" unmarked internal, "q"/"q2" leaf, "m1" marked unary -1,
@@ -162,43 +162,40 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _family_D_frames(n: int, k: int) -> Iterator[tuple[str, tuple[int, ...], Iterator]]:
-    """Each (base, composition, insertion tuples) of family D at (n, k): the
-    loop nest both D enumerators share."""
+def iter_family_D(n: int, k: int) -> Iterator[DecoratedDyckElement]:
     if not 0 <= k <= n:
         return
     for base in _dyck_paths(k):
         for comp in _compositions(n - k, 2 * k + 1):
-            yield base, comp, product(*[_dyck_paths(m) for m in comp])
+            tuples = product(*[_dyck_paths(m) for m in comp])
+            signs = product(*[product((0, -1), repeat=m) for m in comp])
+            yield from (DecoratedDyckElement(k, base, *e) for e in product(tuples, signs))
 
 
-def iter_family_D(n: int, k: int) -> Iterator[DecoratedDyckElement]:
-    for base, comp, tuples in _family_D_frames(n, k):
-        for paths in tuples:
-            sign_spaces = [product((0, -1), repeat=m) for m in comp]
-            for signs in product(*sign_spaces):
-                yield DecoratedDyckElement(k, base, paths, signs)
+def _flat_paths(n: int, k: int, bases, signs) -> Iterator[WeightedDyckPath]:
+    """The flattened elements at (n, k) over `bases` (semilength k), each
+    insertion up-step tagged from `signs`, in `iter_family_D` order.  An
+    insertion tuple's steps are joined once; the base's peak tags sit at
+    fixed cut points between the insertions' tags, so one tag tuple per sign
+    pattern serves every insertion tuple of the (base, composition)."""
+    for base in bases:
+        for comp in _compositions(n - k, 2 * k + 1):
+            base_tags = iter(_base_tags(base))
+            spaces = []
+            for m, step in zip(comp, base):
+                spaces += [signs] * m
+                if step == "U":
+                    spaces.append((next(base_tags),))
+            spaces += [signs] * comp[-1]
+            tag_tuples = list(product(*spaces))
+            for steps in _joined(base, product(*[_dyck_paths(m) for m in comp])):
+                for tags in tag_tuples:
+                    yield WeightedDyckPath(steps, tags)
 
 
 def _iter_flat_family_D(n: int, k: int) -> Iterator[WeightedDyckPath]:
-    """`flatten(e)` for each e of `iter_family_D(n, k)`, in the same order.
-
-    An insertion tuple's steps are joined once.  Its sign patterns, read
-    left to right, are `product((0, -1), repeat=n - k)` in order; the base's
-    peak tags sit at fixed cut points between them, so one tag tuple per
-    pattern serves every insertion tuple of the (base, composition)."""
-    for base, comp, tuples in _family_D_frames(n, k):
-        base_tags = iter(_base_tags(base))
-        spaces = []
-        for m, step in zip(comp, base):
-            spaces += [(0, -1)] * m
-            if step == "U":
-                spaces.append((next(base_tags),))
-        spaces += [(0, -1)] * comp[-1]
-        tag_tuples = list(product(*spaces))
-        for steps in _joined(base, tuples):
-            for tags in tag_tuples:
-                yield WeightedDyckPath(steps, tags)
+    """`flatten(e)` for each e of `iter_family_D(n, k)`, in the same order."""
+    return _flat_paths(n, k, _dyck_paths(k) if 0 <= k <= n else (), (0, -1))
 
 
 def _joined(base: str, tuples) -> Iterator[str]:
@@ -216,30 +213,35 @@ def enumerate_family_D(n: int, k: int) -> list:
     return list(iter_family_D(n, k))
 
 
+def _weight_sum(m: int, mark_weights, classes) -> QPolynomial:
+    """The weight sum of a family whose elements carry m marks, each one of
+    `mark_weights` as (coefficient, exponent): the m-fold mark products are
+    tallied once, as exponent -> coefficient, and each class (offset, count)
+    adds count * q^offset times that tally."""
+    coeffs, exponents = zip(*mark_weights)
+    marks = Counter()
+    for cs, es in zip(product(coeffs, repeat=m), product(exponents, repeat=m)):
+        marks[sum(es)] += prod(cs)
+    total = Counter()
+    for offset, count in classes:
+        for exponent, coeff in marks.items():
+            total[offset + exponent] += count * coeff
+    return _tally_poly(total)
+
+
 def family_D_weight(n: int, k: int) -> QPolynomial:
-    """Weight sum over the decorated family: base paths enumerated, the
-    insertion tuples counted and the sign patterns of the insertions tallied
-    once."""
+    """Weight sum over the decorated family: base paths enumerated, each
+    weighing q^peaks and taking the same insertion tuples, whose n - k
+    up-steps weigh 1 or -q each."""
     _check_cap(n, FAMILY_D_CAP, "family_D_weight")
     if not 0 <= k <= n:
         return QPolynomial.zero("q")
-    u = n - k
-    # every insertion tuple takes the same 2^u sign patterns, each one decorated
-    # element: exponent -> summed coefficient
-    signs = Counter()
-    for bits in range(1 << u):
-        j = bits.bit_count()
-        signs[j] += -1 if j & 1 else 1
-    # and every base path takes the same insertion tuples
     n_tuples = sum(
-        prod(len(_dyck_paths(m)) for m in comp) for comp in _compositions(u, 2 * k + 1)
+        prod(len(_dyck_paths(m)) for m in comp) for comp in _compositions(n - k, 2 * k + 1)
     )
-    counts = [0] * (n + 1)
-    for base in _dyck_paths(k):
-        peaks = sum(_base_tags(base))
-        for j, coeff in signs.items():
-            counts[peaks + j] += n_tuples * coeff
-    return QPolynomial(counts, "q")
+    return _weight_sum(
+        n - k, ((1, 0), (-1, 1)), ((sum(_base_tags(base)), n_tuples) for base in _dyck_paths(k))
+    )
 
 
 family_D_closed_form = partial(identities.expansion_term, "D")
@@ -297,23 +299,9 @@ def phi(p: WeightedDyckPath) -> WeightedDyckPath:
 
 
 def dbar_elements(n: int) -> list:
-    """The all-(+-q) subfamily: base (UD)^k with q-peaks, insertions all -q.
-    Each composition has one tag tuple, and each insertion tuple's steps are
-    joined around the base once, as in `_iter_flat_family_D`."""
+    """The all-(+-q) subfamily: base (UD)^k with q-peaks, insertions all -q."""
     _check_cap(n, FAMILY_D_CAP, "dbar_elements")
-    out = []
-    for k in range(n + 1):
-        base = "UD" * k
-        for comp in _compositions(n - k, 2 * k + 1):
-            tags = []
-            for m, step in zip(comp, base):
-                tags += [-1] * m
-                if step == "U":
-                    tags.append(1)
-            tags = tuple(tags + [-1] * comp[-1])
-            paths = product(*[_dyck_paths(m) for m in comp])
-            out += (WeightedDyckPath(steps, tags) for steps in _joined(base, paths))
-    return out
+    return [p for k in range(n + 1) for p in _flat_paths(n, k, ("UD" * k,), (-1,))]
 
 
 # -- plane trees -----------------------------------------------------------------
@@ -502,20 +490,12 @@ def _family_weight(n: int, k: int, family: str) -> QPolynomial:
     _check_cap(n, info["cap"], f"family_{family}_weight")
     if not 0 <= k <= n:
         return QPolynomial.zero("q")
-    m = n - k
-    # every choice of m unary positions takes the same m-fold mark products,
-    # so tally those once: exponent -> summed coefficient
-    marks = Counter()
-    for tags in product(info["mark_weights"], repeat=m):
-        marks[sum(e for _, e in tags)] += prod(c for c, _ in tags)
     leaf_coeff, leaf_exponent = info["leaf_weight"]
-    counts = [0] * (leaf_exponent * (n + 2) + max(marks) + 1)
-    for (unary, leaves), shapes in _shape_tally(n + 2):
-        # binom(unary, m) choices of the marked positions on each shape
-        scale = shapes * binomial(unary, m) * leaf_coeff**leaves
-        for exponent, coeff in marks.items():
-            counts[leaf_exponent * leaves + exponent] += scale * coeff
-    return QPolynomial(counts, "q")
+    # binom(unary, n - k) choices of the marked positions on each shape
+    return _weight_sum(n - k, info["mark_weights"], (
+        (leaf_exponent * leaves, shapes * binomial(unary, n - k) * leaf_coeff**leaves)
+        for (unary, leaves), shapes in _shape_tally(n + 2)
+    ))
 
 
 family_P_weight = partial(_family_weight, family="P")

@@ -400,14 +400,7 @@ class PolySeries:
         return PolySeries(tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QPolynomial)):
-            out = list(self.coeffs)
-            out[0] = out[0] - other
-            return PolySeries(out, self.order)
-        self._check_order(other)
-        return PolySeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPolynomial)):

@@ -286,6 +286,8 @@ def lemma_difference_argument(n: int) -> bool:
       = f_n(q) term by term; each m in n+2..2n+2 maps onto 2n+3-m <= n+1, and
       2n+3 onto the zero coefficient 0.
     """
+    if n < 0:
+        raise ValueError(f"lemma_difference_argument requires n >= 0, got {n}")
     big = 2 * n + 1
     # engine: the power sums S_0..S_N
     weights = [(-1) ** k * binomial(big, k) for k in range(big + 1)]

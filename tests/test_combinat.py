@@ -1,3 +1,4 @@
+import hashlib
 import os
 from collections import Counter
 from fractions import Fraction
@@ -106,6 +107,19 @@ class TestFamilyD:
             assert cb.dbar_elements(n) == [
                 p for k in range(n + 1) for p in cb._iter_flat_family_D(n, k) if all(p.tags)
             ], n
+
+    def test_dbar_counts_are_central_binomials(self):
+        for n in range(9):
+            assert len(cb.dbar_elements(n)) == binomial(2 * n, n), n
+
+    @pytest.mark.parametrize("n, digest", [
+        (7, "a1ee5d219a6b94e6b23ed5f8c4f55c4078b6ef271626d460d40e8d403e065746"),
+        (8, "94fbe76cbf488c63823b9e831ffb90e63fd8e11df7d20667630ba10d870cf6dc"),
+    ])
+    def test_dbar_elements_above_the_test_sizes_are_pinned(self, n, digest):
+        # recorded from a separately written enumerator of the same paths
+        text = "\n".join(cb.serialize_path(p) for p in cb.dbar_elements(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_phi_rejects_unweighted_paths(self):
         for n in range(5):

@@ -138,6 +138,11 @@ class TestLemma:
         for n in range(8):
             assert lemma_difference_argument(n)
 
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_difference_argument_rejects_negative_n(self, n):
+        with pytest.raises(ValueError, match="lemma_difference_argument"):
+            lemma_difference_argument(n)
+
     def test_difference_argument_at_200_in_seconds(self):
         # F_j(k) is grown as a value, k by k, not evaluated from its coefficients
         start = time.perf_counter()

@@ -10,7 +10,10 @@ all-(+-q) subfamily are enumerated flat by one generator, each insertion
 tuple's steps joined once for all its sign patterns; `flatten` stays as the
 reference they are tested against.  phi reads each word's primitive
 components from a per-word cache.  The weight sums of D, P and Q build no
-element: one tally of the m-fold mark products, scaled by class counts.
+element: one tally of the m-fold mark products, scaled by class counts.  D's
+count of insertion tuples is the Lagrange coefficient [x^(n-k)] C(x)^(2k+1),
+read from `series._catalan_power`, which `lagrange_coefficient_check` ties to
+the binomial formula.
 
 Weighted plane trees are nested pairs (tag, children) only at the public
 boundary.  Tags: "1" unmarked internal, "q"/"q2" leaf, "m1" marked unary -1,
@@ -34,7 +37,7 @@ from functools import lru_cache, partial
 from itertools import combinations, product
 from math import prod
 
-from . import identities
+from . import identities, series
 from .exact_core import QPolynomial, binomial
 
 DYCK_CAP = 12
@@ -154,12 +157,11 @@ def flatten(elem: DecoratedDyckElement) -> WeightedDyckPath:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The compositions of total into parts nonnegative parts, in lexicographic
+    order: the gaps between parts - 1 bars chosen among total + parts - 1 slots."""
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
 def iter_family_D(n: int, k: int) -> Iterator[DecoratedDyckElement]:
@@ -174,21 +176,25 @@ def iter_family_D(n: int, k: int) -> Iterator[DecoratedDyckElement]:
 
 def _flat_paths(n: int, k: int, bases, signs) -> Iterator[WeightedDyckPath]:
     """The flattened elements at (n, k) over `bases` (semilength k), each
-    insertion up-step tagged from `signs`, in `iter_family_D` order.  An
-    insertion tuple's steps are joined once; the base's peak tags sit at
-    fixed cut points between the insertions' tags, so one tag tuple per sign
-    pattern serves every insertion tuple of the (base, composition)."""
+    insertion up-step tagged from `signs`, in `iter_family_D` order:
+    insertion i before base step i, so 2k + 1 insertions and 2k base steps
+    fill 4k + 1 slots.  Each insertion tuple's steps are joined once, and one
+    tag tuple per sign pattern, the base's peak tags at fixed cut points,
+    serves every insertion tuple of the (base, composition)."""
     for base in bases:
+        peaks = iter(_base_tags(base))
+        fixed = [[(next(peaks),)] if step == "U" else [] for step in base]
+        slots = [""] * (4 * k + 1)
+        slots[1::2] = base
         for comp in _compositions(n - k, 2 * k + 1):
-            base_tags = iter(_base_tags(base))
             spaces = []
-            for m, step in zip(comp, base):
-                spaces += [signs] * m
-                if step == "U":
-                    spaces.append((next(base_tags),))
+            for m, tag in zip(comp, fixed):
+                spaces += [signs] * m + tag
             spaces += [signs] * comp[-1]
             tag_tuples = list(product(*spaces))
-            for steps in _joined(base, product(*[_dyck_paths(m) for m in comp])):
+            for paths in product(*[_dyck_paths(m) for m in comp]):
+                slots[::2] = paths
+                steps = "".join(slots)
                 for tags in tag_tuples:
                     yield WeightedDyckPath(steps, tags)
 
@@ -196,16 +202,6 @@ def _flat_paths(n: int, k: int, bases, signs) -> Iterator[WeightedDyckPath]:
 def _iter_flat_family_D(n: int, k: int) -> Iterator[WeightedDyckPath]:
     """`flatten(e)` for each e of `iter_family_D(n, k)`, in the same order."""
     return _flat_paths(n, k, _dyck_paths(k) if 0 <= k <= n else (), (0, -1))
-
-
-def _joined(base: str, tuples) -> Iterator[str]:
-    """Each insertion tuple's steps joined around `base`: insertion i before
-    base step i, the last one after the base."""
-    parts = [""] * (2 * len(base) + 1)  # insertions at even places, base steps at odd
-    parts[1::2] = base
-    for paths in tuples:
-        parts[::2] = paths
-        yield "".join(parts)
 
 
 def enumerate_family_D(n: int, k: int) -> list:
@@ -232,15 +228,13 @@ def _weight_sum(m: int, mark_weights, classes) -> QPolynomial:
 def family_D_weight(n: int, k: int) -> QPolynomial:
     """Weight sum over the decorated family: base paths enumerated, each
     weighing q^peaks and taking the same insertion tuples, whose n - k
-    up-steps weigh 1 or -q each."""
+    up-steps weigh 1 or -q each: [x^(n-k)] C(x)^(2k+1) of them."""
     _check_cap(n, FAMILY_D_CAP, "family_D_weight")
     if not 0 <= k <= n:
         return QPolynomial.zero("q")
-    n_tuples = sum(
-        prod(len(_dyck_paths(m)) for m in comp) for comp in _compositions(n - k, 2 * k + 1)
-    )
+    n_tuples = series._catalan_power(2 * k + 1, n - k)[n - k]
     return _weight_sum(
-        n - k, ((1, 0), (-1, 1)), ((sum(_base_tags(base)), n_tuples) for base in _dyck_paths(k))
+        n - k, ((1, 0), (-1, 1)), ((base.count("UD"), n_tuples) for base in _dyck_paths(k))
     )
 
 

@@ -447,10 +447,7 @@ class PolySeries:
             raise SeriesPreconditionError(
                 f"reciprocal needs a nonzero constant leading coefficient, got {c0!r}"
             )
-        c0 = c0.constant_value()
-        if c0 == 1:
-            return self._power(Fraction(-1))
-        inv0 = Fraction(1) / c0
+        inv0 = Fraction(1) / c0.constant_value()
         return (self * inv0)._power(Fraction(-1)) * inv0
 
     def sqrt(self) -> "PolySeries":
@@ -484,7 +481,10 @@ class PolySeries:
         return PolySeries([_combine(t) for t in terms], self.order)
 
     def shift_down(self, m: int) -> "PolySeries":
-        """Divide by x^m; the m lowest coefficients must vanish exactly."""
+        """Divide by x^m, 0 <= m <= order; the m lowest coefficients must
+        vanish exactly."""
+        if not 0 <= m <= self.order:
+            raise SeriesPreconditionError(f"shift_down({m}): m must lie in 0..{self.order}")
         for i in range(m):
             if not self.coeffs[i].is_zero:
                 raise SeriesPreconditionError(

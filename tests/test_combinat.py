@@ -48,12 +48,28 @@ class TestFamilyD:
         assert len(cb.enumerate_family_D(1, 0)) == 2
 
     def test_weights_match_closed_form(self):
-        for n in range(7):
+        for n in range(cb.FAMILY_D_CAP + 1):
             for k in range(n + 1):
                 assert cb.family_D_weight(n, k) == cb.family_D_closed_form(n, k), (
                     n,
                     k,
                 )
+
+    def test_compositions_are_the_ordered_tuples_of_their_sum(self):
+        for t in range(6):
+            for p in range(1, 7):
+                assert list(cb._compositions(t, p)) == sorted(
+                    c for c in product(range(t + 1), repeat=p) if sum(c) == t
+                ), (t, p)
+
+    def test_compositions_count_and_order_up_to_d_cap(self):
+        # up to the 2k + 1 = 17 parts of k = 8, the D cap, past what brute force reaches
+        for t in range(6):
+            for p in range(1, 2 * cb.FAMILY_D_CAP + 2):
+                comps = list(cb._compositions(t, p))
+                assert len(comps) == binomial(t + p - 1, p - 1), (t, p)
+                assert all(a < b for a, b in zip(comps, comps[1:])), (t, p)
+                assert all(len(c) == p and sum(c) == t and min(c) >= 0 for c in comps)
 
     def test_weight_sum_is_catalan(self):
         for n in range(7):

@@ -181,6 +181,21 @@ class TestPolySeries:
         assert ok.coefficient(0) == QPolynomial.one("q")
         assert ok.coefficient(1) == QPolynomial.constant(5, "q")
 
+    @pytest.mark.parametrize("s, m", [
+        (PolySeries([1, 2, 3], 3), -1),
+        (PolySeries.zero(3), -1),
+        (PolySeries.zero(3), 4),
+        (PolySeries.zero(3), 5),
+    ])
+    def test_shift_down_outside_the_order_rejected(self, s, m):
+        # a negative m would pad with coefficients never computed, and one past
+        # the order would index beyond the stored coefficients
+        with pytest.raises(SeriesPreconditionError, match=r"shift_down"):
+            s.shift_down(m)
+
+    def test_shift_down_by_the_whole_order(self):
+        assert PolySeries([0, 0, 7], 2).shift_down(2) == PolySeries([7], 0)
+
     @given(st.lists(rationals, min_size=1, max_size=5), st.lists(rationals, min_size=1, max_size=5))
     @settings(max_examples=40)
     def test_mul_commutes(self, a, b):

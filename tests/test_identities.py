@@ -996,10 +996,13 @@ def _qualnames() -> dict:
 
 
 def _reached(side, n: int, names: dict) -> set:
-    """The narayana functions that side(n) enters.  The narayana_poly and
-    legendre_poly caches are cleared first, as a cache hit enters no frame."""
-    sequences.narayana_poly.cache_clear()
-    sequences.legendre_poly.cache_clear()
+    """The narayana functions that side(n) enters.  The sequence and the
+    enumeration caches are cleared first, as a cache hit enters no frame."""
+    for cached in (
+        sequences.narayana_poly, sequences.legendre_poly, combinat._dyck_paths,
+        combinat._tree_shapes, combinat._children_seqs, combinat._shape_tally,
+    ):
+        cached.cache_clear()
     entered = set()
 
     def profile(frame, event, arg):
@@ -1022,6 +1025,17 @@ def _shared(tag: str) -> set:
     return (_reached(lhs, n, names) & _reached(rhs, n, names)) - _RING
 
 
+def _weight_sides_shared(family: str) -> set:
+    """The narayana functions past _RING that both sides of criterion 5 reach
+    for family at n = 5, k = 0..5: its weight sum and its closed form."""
+    names = _qualnames()
+    sides = [
+        lambda n, side=side: [getattr(combinat, side)(n, k) for k in range(n + 1)]
+        for side in (f"family_{family}_weight", f"family_{family}_closed_form")
+    ]
+    return (_reached(sides[0], 5, names) & _reached(sides[1], 5, names)) - _RING
+
+
 class TestSideIndependence:
     @pytest.mark.parametrize("tag", IDENTITY_TAGS)
     def test_shared_helpers(self, tag):
@@ -1033,3 +1047,11 @@ class TestSideIndependence:
         min_n, lhs, _ = identities._REGISTRY["new_expansion_c1"]
         monkeypatch.setitem(identities._REGISTRY, "new_expansion_c1", (min_n, lhs, lhs))
         assert _shared("new_expansion_c1") == {"narayana_poly", "narayana_number"}
+
+    @pytest.mark.parametrize("family", "DPQ")
+    def test_weight_sums_share_nothing_with_their_closed_forms(self, family):
+        assert _weight_sides_shared(family) == set()
+
+    def test_a_weight_read_from_its_closed_form_shows(self, monkeypatch):
+        monkeypatch.setattr(combinat, "family_D_weight", combinat.family_D_closed_form)
+        assert "expansion_term" in _weight_sides_shared("D")

@@ -250,46 +250,35 @@ def _is_unweighted(p: WeightedDyckPath) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _components(steps: str) -> tuple[tuple[int, int, tuple], ...]:
-    """The primitive components of a Dyck word, rightmost first, each as
-    (first tag index, end tag index, the interior's components); indices
-    count up-steps from the start of the word."""
-    comps = []
-    height = start = t = tstart = 0
-    for i, step in enumerate(steps):
+def _components(steps: str) -> tuple[tuple[int, ...], ...]:
+    """For each up-step of a Dyck word, the up-steps whose arches enclose it,
+    outermost first and itself last; indices count up-steps from the start."""
+    chains, open_arches = [], []
+    for step in steps:
         if step == "U":
-            height += 1
-            t += 1
+            open_arches.append(len(chains))
+            chains.append(tuple(open_arches))
         else:
-            height -= 1
-        if not height:
-            comps.append((tstart, t, _components(steps[start + 1:i])))
-            start, tstart = i + 1, t
-    return tuple(reversed(comps))
+            open_arches.pop()
+    return tuple(chains)
 
 
 def phi(p: WeightedDyckPath) -> WeightedDyckPath:
     """Sign-reversing involution on weighted Dyck paths with some +-q weight.
 
-    Recursive rule: in the rightmost primitive component holding a +-q
-    weight, flip the sign of the first up-step if it is weighted +-q,
-    otherwise recurse into the component's interior.
+    Recursive rule: in the rightmost primitive component holding a +-q weight,
+    flip its first up-step if weighted +-q, else recurse into its interior; that
+    is, flip the first +-q up-step among the arches enclosing the last one.
     """
     if _is_unweighted(p):
         raise FixedElementError("phi is undefined on all-1-weighted paths")
     tags = p.tags
-    comps, offset = _components(p.steps), 0
-    while True:
-        for i, j, interior in comps:
-            if any(tags[offset + i:offset + j]):
-                break
-        else:
-            raise AssertionError("no component carries a +-q weight")
-        i += offset
+    last = len(tags) - 1
+    while not tags[last]:
+        last -= 1
+    for i in _components(p.steps)[last]:
         if tags[i]:
             return WeightedDyckPath(p.steps, tags[:i] + (-tags[i],) + tags[i + 1:])
-        # first up-step weighs 1: recurse into the interior u...d
-        comps, offset = interior, i + 1
 
 
 def dbar_elements(n: int) -> list:

@@ -1,5 +1,6 @@
-"""Identity registry: every displayed identity evaluated as exact left/right
-sides, plus the Legendre, left-inversion, and binomial inverse relations.
+"""Identity registry: every displayed identity evaluated as exact left/right sides,
+plus the Legendre, left-inversion, and binomial inverse relations, whose weight rows
+are kept per relation and grown on demand: memory is the rows up to the longest length asked.
 
 Each identity is one `_REGISTRY` row holding its two sides as separate
 callables, and the sides run on different helpers (e.g. Catalan via the
@@ -39,7 +40,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import repeat, zip_longest
-from operator import mul
+from math import comb
+from operator import index, mul
 
 from .exact_core import IndeterminateMismatchError, QPolynomial, binomial, horner
 from .sequences import (
@@ -356,11 +358,44 @@ def _alternate(row) -> list:
     return row
 
 
-def _sign(name: str, direction: str) -> int:
-    """The base of a relation's alternating sign: +1 forward, -1 backward."""
+# relation -> row n as (weights, divisor); "left forward" rows are whole, cut by map(mul)
+_ROWS = {
+    "legendre forward": lambda n: (list(map(comb, range(n, 2 * n + 1), range(n, -1, -1))), 1),
+    "legendre backward": lambda n: (_alternate(map(mul, range(1, 2 * n + 2, 2), map(
+        comb, repeat(2 * n + 1), range(n, -1, -1)))), 2 * n + 1),
+    "binomial forward": lambda n: (list(map(comb, repeat(n), range(n + 1))), 1),
+    "binomial backward": lambda n: (_alternate(map(comb, repeat(n), range(n + 1))), 1),
+    "left forward": lambda n, s, p: (
+        list(map(comb, repeat(n + p), range(p, p + s * (n // s) + 1, s))), 1),
+    "left": lambda n, s, p: (_alternate(map(comb, repeat(s * n + p), range(p, s * n + p + 1))), 1),
+}
+_rows_memo: dict = {}
+
+
+def _rows(count: int, *key) -> list:
+    """Rows 0..count-1 of relation key[0] at parameters key[1:], grown in `_rows_memo`
+    by slice at their own indices, so threads growing one key misplace no row."""
+    rows = _rows_memo.setdefault(key, [])
+    start = len(rows)
+    rows[start:count] = [_ROWS[key[0]](n, *key[1:]) for n in range(start, count)]
+    return rows[:count]
+
+
+def _check_direction(name: str, direction: str) -> None:
     if direction not in ("forward", "backward"):
         raise ValueError(f"{name}: unknown direction {direction!r}")
-    return 1 if direction == "forward" else -1
+
+
+def _left_args(name: str, **args) -> list:
+    """s, p (and length) through `operator.index` (a bool passes), then range-checked."""
+    for arg, value in args.items():
+        try:
+            args[arg] = index(value)
+        except TypeError:
+            raise TypeError(f"{name}: {arg} must be an integer, got {value!r}") from None
+    if args["s"] < 1 or args["p"] < 0 or args.get("length", 0) < 0:
+        raise ValueError(f"{name}: needs s >= 1, p >= 0 (and length >= 0), got {args}")
+    return list(args.values())
 
 
 def legendre_inverse(direction: str, seq: Sequence) -> list:
@@ -369,46 +404,27 @@ def legendre_inverse(direction: str, seq: Sequence) -> list:
     forward:  A_n = sum_k binom(n+k, n-k) B_k
     backward: B_n = sum_k (-1)^{n-k} (2k+1)/(2n+1) binom(2n+1, n-k) A_k
     """
-    if _sign("legendre_inverse", direction) == 1:
-        return _triangular("legendre_inverse", seq, lambda m: (
-            (list(map(math.comb, range(n, 2 * n + 1), range(n, -1, -1))), 1) for n in range(m)
-        ))
-    return _triangular("legendre_inverse", seq, lambda m: (
-        (_alternate(map(mul, range(1, 2 * n + 2, 2),
-                        map(math.comb, repeat(2 * n + 1), range(n, -1, -1)))), 2 * n + 1)
-        for n in range(m)
-    ))
+    _check_direction("legendre_inverse", direction)
+    return _triangular("legendre_inverse", seq, lambda m: _rows(m, f"legendre {direction}"))
 
 
 def binomial_inverse(direction: str, seq: Sequence) -> list:
     """The binomial transform and its inverse (mutually inverse maps)."""
-    row = list if _sign("binomial_inverse", direction) == 1 else _alternate
-    return _triangular("binomial_inverse", seq, lambda m: (
-        (row(map(math.comb, repeat(n), range(n + 1))), 1) for n in range(m)
-    ))
+    _check_direction("binomial_inverse", direction)
+    return _triangular("binomial_inverse", seq, lambda m: _rows(m, f"binomial {direction}"))
 
 
 def left_inversion_forward(s: int, p: int, seq: Sequence, length: int) -> list:
     """Generate A_n = sum_{k <= n/s} binom(n+p, sk+p) B_k, n < length."""
-    if s < 1 or p < 0:
-        raise ValueError(f"left inversion needs s >= 1 and p >= 0, got s={s}, p={p}")
-    if length < 0:
-        raise ValueError(f"left_inversion_forward: negative length {length}")
-    return _triangular("left_inversion_forward", seq, lambda m: (
-        (list(map(math.comb, repeat(n + p), range(p, p + s * min(n // s, m - 1) + 1, s))), 1)
-        for n in range(length)
-    ))
+    s, p, length = _left_args("left_inversion_forward", s=s, p=p, length=length)
+    return _triangular("left_inversion_forward", seq, lambda _: _rows(length, "left forward", s, p))
 
 
 def left_inversion(s: int, p: int, seq: Sequence) -> list:
     """Recover B from A under the one-directional left-inversion formula:
     B_n = sum_{k=0}^{sn} (-1)^{sn-k} binom(sn+p, k+p) A_k."""
-    if s < 1 or p < 0:
-        raise ValueError(f"left inversion needs s >= 1 and p >= 0, got s={s}, p={p}")
-    return _triangular("left_inversion", seq, lambda m: (
-        (_alternate(map(math.comb, repeat(s * n + p), range(p, s * n + p + 1))), 1)
-        for n in range((m - 1) // s + 1)
-    ))
+    s, p = _left_args("left_inversion", s=s, p=p)
+    return _triangular("left_inversion", seq, lambda m: _rows((m - 1) // s + 1, "left", s, p))
 
 
 def catalan_parity_scan(limit: int) -> list:

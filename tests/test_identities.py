@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -434,9 +435,20 @@ def _wrong_parity(row):
     return row
 
 
+def _stale(real):
+    """The row reader serving row n + 1 as row n once its key has grown."""
+    def stale(count, *key):
+        grown = key in identities._rows_memo
+        rows = real(count + 1, *key)
+        return rows[1:] if grown else rows[:count]
+
+    return stale
+
+
 # kernel mutants the benchmark-size check must catch: name -> (attribute, mutant)
 _KERNEL_MUTANTS = {
     "sign-on-wrong-parity": ("_alternate", lambda real: _wrong_parity),
+    "stale-memo": ("_rows", _stale),
     "zip-drops-columns": ("zip_longest", lambda real: lambda *rows, fillvalue: zip(*rows)),
     "divisor-ignored": ("_triangular", lambda real: lambda name, seq, rows: real(
         name, seq, lambda m: ((weights, 1) for weights, _ in rows(m)))),
@@ -469,6 +481,8 @@ class TestInverseKernel:
     @pytest.mark.parametrize("mutant", sorted(_KERNEL_MUTANTS))
     def test_bench_size_check_catches_mutant(self, monkeypatch, bench_size_cases, mutant):
         attr, make = _KERNEL_MUTANTS[mutant]
+        # each mutant builds its own rows, and the undo throws them away
+        monkeypatch.setattr(identities, "_rows_memo", {})
         monkeypatch.setattr(identities, attr, make(getattr(identities, attr)))
         assert _bench_size_misses(bench_size_cases) > 0
 
@@ -499,6 +513,152 @@ class TestInverseKernel:
                 out = kernel(seq)
                 assert counts["add"] == counts["mul"] == 0
                 assert counts["new"] <= len(out) + len(seq)
+
+
+def _fresh_row(n, relation, *params):
+    """Row n of a relation's weights, (weights, divisor), entry by entry from
+    its formula: an independent reference for the rows in `_rows_memo`."""
+    if relation == "legendre forward":
+        return [binomial(n + k, n - k) for k in range(n + 1)], 1
+    if relation == "legendre backward":
+        return [(-1) ** (n - k) * (2 * k + 1) * binomial(2 * n + 1, n - k)
+                for k in range(n + 1)], 2 * n + 1
+    if relation.startswith("binomial"):
+        sign = 1 if relation.endswith("forward") else -1
+        return [sign ** (n - k) * binomial(n, k) for k in range(n + 1)], 1
+    s, p = params
+    if relation == "left forward":
+        return [binomial(n + p, s * k + p) for k in range(n // s + 1)], 1
+    return [(-1) ** (s * n - k) * binomial(s * n + p, k + p) for k in range(s * n + 1)], 1
+
+
+def _bench_size_calls(lengths):
+    """Every relation, each direction and left inversion at s in 1..3, p in 0..2,
+    on a scalar sequence of each length, as at the benchmark's sizes."""
+    rng = random.Random(23)
+    for length in lengths:
+        seq = [Fraction(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(length)]
+        kernels = [kernel for kernel, _ in _relations(1, 0, length)[:4]]
+        for s in (1, 2, 3):
+            for p in (0, 1, 2):
+                kernels += [kernel for kernel, _ in _relations(s, p, s * (length - 1) + 1)[4:]]
+        for kernel in kernels:
+            kernel(seq)
+
+
+def _rejected_calls():
+    seq = [Fraction(1, 2)] * 3
+    calls = [partial(relation, "sideways", seq) for relation in (legendre_inverse, binomial_inverse)]
+    for s, p, length in ((0, 0, 3), (1, -1, 3), (1, 0, -1), (1, 0, 2.0), (1, 0, None)):
+        calls.append(partial(left_inversion_forward, s, p, seq, length))
+    return calls + [partial(left_inversion, 0, 0, seq), partial(left_inversion, 1, -1, seq)]
+
+
+class TestRowsMemo:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self, monkeypatch):
+        monkeypatch.setattr(identities, "_rows_memo", {})
+
+    def test_memo_rows_equal_fresh_rows_at_bench_sizes(self):
+        _bench_size_calls((20, 40))
+        memo = identities._rows_memo
+        assert {key[0] for key in memo} == set(identities._ROWS)
+        assert {key[1:] for key in memo if key[0].startswith("left")} == {
+            (s, p) for s in (1, 2, 3) for p in (0, 1, 2)
+        }
+        for key, rows in memo.items():
+            s = key[1] if key[0].startswith("left") else 1
+            assert len(rows) == {"left forward": 39 * s + 1, "left": 39 // s + 1}.get(key[0], 40)
+            assert identities._rows(len(rows), *key) == [
+                _fresh_row(n, *key) for n in range(len(rows))
+            ], key
+            assert all(type(w) is int for weights, _ in rows for w in weights), key
+
+    def test_shorter_request_builds_no_row(self, monkeypatch):
+        _bench_size_calls((40,))
+        built = []
+
+        def counting(name, row):
+            def counted(n, *params):
+                built.append((name, n))
+                return row(n, *params)
+
+            return counted
+
+        monkeypatch.setattr(identities, "_ROWS", {
+            name: counting(name, row) for name, row in identities._ROWS.items()
+        })
+        _bench_size_calls((40, 20, 1))
+        assert built == []
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_rejected_call_leaves_memo_as_it_was(self, warm):
+        if warm:
+            _bench_size_calls((7,))
+        before = {key: list(rows) for key, rows in identities._rows_memo.items()}
+        for call in _rejected_calls():
+            with pytest.raises((ValueError, TypeError)):
+                call()
+        assert identities._rows_memo == before
+
+    @pytest.mark.parametrize("arg", ["s", "p", "length"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, "1", None])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_non_integer_left_inversion_arguments_rejected(self, arg, value, warm):
+        seq = [Fraction(1, 3), Fraction(2)]
+        if warm:  # 2.0 == 2 would share a dict key with these rows
+            for s in (1, 2):
+                left_inversion(s, 2, left_inversion_forward(s, 2, seq, 2 * s + 1))
+        before = {key: list(rows) for key, rows in identities._rows_memo.items()}
+        args = {"s": 2, "p": 2, "length": 5, arg: value}
+        with pytest.raises(TypeError, match=f"left_inversion_forward: {arg} must be an integer"):
+            left_inversion_forward(args["s"], args["p"], seq, args["length"])
+        if arg != "length":
+            with pytest.raises(TypeError, match=f"left_inversion: {arg} must be an integer"):
+                left_inversion(args["s"], args["p"], seq)
+        assert identities._rows_memo == before
+
+    def test_bool_arguments_pass_as_integers(self):
+        seq = [Fraction(1, 3), Fraction(2), Fraction(-5, 7)]
+        assert left_inversion_forward(True, False, seq, 3) == left_inversion_forward(1, 0, seq, 3)
+        assert left_inversion(True, True, seq) == left_inversion(1, 1, seq)
+
+    def test_threads_growing_shared_rows(self):
+        rng = random.Random(29)
+        lengths = list(range(5, 41))
+        seqs = {m: [Fraction(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(m)]
+                for m in lengths}
+        cases = {m: [(kernel, reference(seqs[m])) for kernel, reference
+                     in _relations(2, 1, 2 * (m - 1) + 1)] for m in lengths}
+        misses, start = [], threading.Barrier(4, timeout=60)
+
+        def round_trips(order):
+            start.wait()
+            for m in order:
+                # Legendre, binomial: forward then backward; left inversion: forward, back
+                outputs = [kernel(seqs[m]) for kernel, _ in cases[m]]
+                misses.extend((m, i) for i, (got, (_, want)) in enumerate(zip(outputs, cases[m]))
+                              if got != want)
+                back = [legendre_inverse("backward", outputs[0]),
+                        binomial_inverse("backward", outputs[2]), left_inversion(2, 1, outputs[4])]
+                misses.extend((m, "round trip") for b in back if b != seqs[m])
+
+        orders = [rng.sample(lengths, len(lengths)) for _ in range(4)]
+        threads = [threading.Thread(target=round_trips, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert misses == []
+        for key, rows in identities._rows_memo.items():
+            count = 79 if key[0] == "left forward" else 40
+            assert rows == [_fresh_row(n, *key) for n in range(count)], key
 
 
 # -- the power-form sums that Horner's rule replaced: each term built with a

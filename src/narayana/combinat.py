@@ -22,10 +22,12 @@ only, treated as transparent by the structural tests).  Inside the module a
 tree is its pre-order word (Lukasiewicz word): one flat tuple of shared
 tokens, one per vertex in pre-order, each naming the vertex's tag and
 out-degree.  Shapes are generated as pre-order degree sequences, and the
-families and fixed sets as words; a word's weight is one pass over its
-tokens, and psi edits at most two tokens, since a subtree is a slice and its
-rightmost leaf its last token.  Only `_tree` and `_word` convert, in the
-public tree functions.
+families and fixed sets as words, each shape's unmarked word cached per
+vertex count and leaf tag.  A word's weight is read from per-token
+coefficient and exponent tables, and psi edits at most two tokens, since a
+subtree is a slice and its rightmost leaf its last token.  Only `_tree` and
+`_word` convert, in the public tree functions.  The certifier's rows for P
+and Q bind their family by closures.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import os
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
 from math import prod
 
 from . import identities, series
@@ -104,6 +106,7 @@ def enumerate_dyck(n: int) -> list:
 
 # tags: one per up-step: 0 -> 1, +1 -> q, -1 -> -q
 WeightedDyckPath = namedtuple("WeightedDyckPath", "steps tags")
+_tuple_new = tuple.__new__  # a path from its (steps, tags) with no Python frame
 
 
 def _path_key(p: WeightedDyckPath) -> tuple[int, int]:
@@ -194,9 +197,8 @@ def _flat_paths(n: int, k: int, bases, signs) -> Iterator[WeightedDyckPath]:
             tag_tuples = list(product(*spaces))
             for paths in product(*[_dyck_paths(m) for m in comp]):
                 slots[::2] = paths
-                steps = "".join(slots)
-                for tags in tag_tuples:
-                    yield WeightedDyckPath(steps, tags)
+                steps = repeat("".join(slots))
+                yield from map(_tuple_new, repeat(WeightedDyckPath), zip(steps, tag_tuples))
 
 
 def _iter_flat_family_D(n: int, k: int) -> Iterator[WeightedDyckPath]:
@@ -278,7 +280,7 @@ def phi(p: WeightedDyckPath) -> WeightedDyckPath:
         last -= 1
     for i in _components(p.steps)[last]:
         if tags[i]:
-            return WeightedDyckPath(p.steps, tags[:i] + (-tags[i],) + tags[i + 1:])
+            return _tuple_new(WeightedDyckPath, (p.steps, tags[:i] + (-tags[i],) + tags[i + 1:]))
 
 
 def dbar_elements(n: int) -> list:
@@ -312,13 +314,6 @@ def _tree_shapes(vertices: int) -> tuple[tuple[int, ...], ...]:
     if vertices < 1:
         return ()
     return tuple((vertices - 1 - sum(f),) + f for f in _children_seqs(vertices - 1))
-
-
-@lru_cache(maxsize=None)
-def _unary_positions(vertices: int) -> tuple[tuple[int, ...], ...]:
-    """Each shape's non-root unary positions, in `_tree_shapes` order."""
-    shapes = _tree_shapes(vertices)
-    return tuple(tuple(i for i, d in enumerate(s) if i and d == 1) for s in shapes)
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +353,8 @@ _FAMILY = {
 # use, so a token's number means something only within one process; 0 and 1
 # are the unary "1" and "m1" vertices, which psi's case (a) swaps.
 _TOKENS = [("1", 1), ("m1", 1)]  # token -> (tag, out-degree)
-_TOKEN_KEYS = [_TAG_WEIGHTS["1"], _TAG_WEIGHTS["m1"]]  # token -> (coefficient, exponent)
+_TOKEN_COEFFS = [1, -1]  # token -> its tag's weight coefficient
+_TOKEN_EXPONENTS = [0, 0]  # token -> its tag's weight exponent
 _TOKEN_IDS = {("1", 1): 0, ("m1", 1): 1}
 
 
@@ -367,7 +363,9 @@ def _token(tag: str, degree: int) -> int:
     if token is None:
         token = _TOKEN_IDS[tag, degree] = len(_TOKENS)
         _TOKENS.append((tag, degree))
-        _TOKEN_KEYS.append(_TAG_WEIGHTS.get(tag))
+        coeff, exponent = _TAG_WEIGHTS.get(tag, (None, None))
+        _TOKEN_COEFFS.append(coeff)
+        _TOKEN_EXPONENTS.append(exponent)
     return token
 
 
@@ -398,9 +396,9 @@ def _tree(w):
 def _word_key(w) -> tuple[int, int]:
     """The weight as (coefficient, exponent): the product of vertex weights."""
     coeff, exponent = 1, 0
-    for c, e in map(_TOKEN_KEYS.__getitem__, w):
-        coeff *= c
-        exponent += e
+    for token in w:
+        coeff *= _TOKEN_COEFFS[token]
+        exponent += _TOKEN_EXPONENTS[token]
     return coeff, exponent
 
 
@@ -433,25 +431,36 @@ def serialize_tree(t) -> str:
     return _serialize_word(_word(t))
 
 
+@lru_cache(maxsize=None)
+def _shape_words(vertices: int, leaf: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each shape of `_tree_shapes(vertices)` as its unmarked word, leaves
+    tagged `leaf` and the other vertices "1", with its non-root unary
+    positions."""
+    leaf_token = _token(leaf, 0)
+    return tuple(
+        (tuple(_token("1", d) if d else leaf_token for d in degrees),
+         tuple(i for i, d in enumerate(degrees) if i and d == 1))
+        for degrees in _tree_shapes(vertices)
+    )
+
+
 def _iter_family_trees(n: int, k: int, family: str) -> Iterator[tuple[int, ...]]:
-    """The words of the family at (n, k): each shape's degree sequence with
+    """The words of the family at (n, k): each shape's unmarked word with
     every choice of n - k marked unary positions and of their marks."""
     info = _FAMILY[family]
     marks_needed = n - k
-    leaf = _token(info["leaf"], 0)
     marks = [_token(mark, 1) for mark in info["marks"]]
-    unit = _token("1", 1)
-    for degrees, unary in zip(_tree_shapes(n + 2), _unary_positions(n + 2)):
+    for template, unary in _shape_words(n + 2, info["leaf"]):
         if len(unary) < marks_needed:
             continue
-        word = [_token("1", d) if d else leaf for d in degrees]
+        word = list(template)
         for positions in combinations(unary, marks_needed):
             for tokens in product(marks, repeat=marks_needed):
                 for position, token in zip(positions, tokens):
                     word[position] = token
                 yield tuple(word)
             for position in positions:
-                word[position] = unit
+                word[position] = template[position]
 
 
 def _enumerate_family(n: int, k: int, family: str) -> list:
@@ -712,7 +721,7 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
 
     Each pair {e, img} is worked once, by the member met first: it computes
     img = apply(e), key(img) and apply(img).  When both checks pass, img
-    goes into `open_pairs` with its partner and key, once per occurrence
+    goes into `open_pairs` with its partner and weight, once per occurrence
     (`elements` may repeat one).  A later non-fixed occurrence of img pops
     it: apply(img) == e and key(img) were computed, and apply(e) == img
     holds, so img passes both checks, and the +1/-1 the closure would count
@@ -722,7 +731,9 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
     closure multiset, every per-element result and the counterexample are
     therefore those of visiting every element from its own end."""
     closure = Counter()  # failing elements +1, their images -1
-    open_pairs = {}  # image -> (partner, image's key, occurrences still due)
+    # image -> (partner, image's coefficient, its exponent, occurrences still
+    # due), flat, so that an open pair holds one tuple, not two
+    open_pairs = {}
     fixed_match = Counter()  # fixed elements found +1, expected -1
     total, fixed_weight = Counter(), Counter()  # exponent -> coefficient
     size = fixed_count = self_inverse = weight_reversal = 0
@@ -738,10 +749,10 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
             continue
         met = open_pairs.pop(e, None)
         if met is not None:
-            partner, (coeff, exponent), due = met
+            partner, coeff, exponent, due = met
             total[exponent] += coeff
             if due > 1:
-                open_pairs[e] = (partner, (coeff, exponent), due - 1)
+                open_pairs[e] = (partner, coeff, exponent, due - 1)
             continue
         coeff, exponent = key(e)
         total[exponent] += coeff
@@ -749,10 +760,13 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
         img_key = key(img)
         # weights are nonzero monomials, so equal keys <=> equal weights
         reversed_ok = img_key == (-coeff, exponent)
-        inverse_ok = apply(img) == e
+        try:
+            inverse_ok = apply(img) == e
+        except FixedElementError:  # e was sent onto the fixed set
+            inverse_ok = False
         if reversed_ok and inverse_ok:
             met = open_pairs.get(img)
-            open_pairs[img] = (e, img_key, 1 if met is None else met[2] + 1)
+            open_pairs[img] = (e, -coeff, exponent, 1 if met is None else met[3] + 1)
         else:
             closure[e] += 1
             closure[img] -= 1
@@ -765,7 +779,7 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
             if pair not in seen_pairs:
                 seen_pairs.add(pair)
                 pairs.append((serialize(e), serialize(img)))
-    for img, (partner, _, due) in open_pairs.items():
+    for img, (partner, _, _, due) in open_pairs.items():
         closure[partner] += due
         closure[img] -= due
     for e in expected_fixed:
@@ -788,8 +802,9 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
 
 def _involution(family: str):
     """The row of involution family D, P or Q: (cap, elements(n, k), is_fixed,
-    apply, key, serialize, expected_fixed(n)).  Built per call, so a module
-    attribute replaced since import is what runs."""
+    apply, key, serialize, expected_fixed(n)).  Built per call, and P's and
+    Q's closures look their functions up when called, so a module attribute
+    replaced since import is what runs."""
     if family == "D":
         return (
             FAMILY_D_CAP, _iter_flat_family_D, _is_unweighted,
@@ -799,9 +814,9 @@ def _involution(family: str):
     if family not in _FAMILY:
         raise ValueError(f"unknown family {family!r}")
     return (
-        _FAMILY[family]["cap"], partial(_iter_family_trees, family=family),
-        partial(_is_fixed_word, family=family), partial(_psi_word, family=family), _word_key,
-        _serialize_word, partial(_fixed_words, family=family),
+        _FAMILY[family]["cap"], lambda n, k: _iter_family_trees(n, k, family),
+        lambda w: _is_fixed_word(w, family), lambda w: _psi_word(w, family), _word_key,
+        _serialize_word, lambda n: _fixed_words(n, family),
     )
 
 
@@ -812,8 +827,8 @@ def involution_verify(family: str, n: int, collect_pairs: bool = False) -> Invol
     cap, elements, is_fixed, apply, key, serialize, expected_fixed = _involution(family)
     _check_cap(n, cap, f"involution_verify({family})")
     return _certify(
-        family, n, (e for k in range(n + 1) for e in elements(n, k)), is_fixed, apply, key,
-        serialize, expected_fixed(n), collect_pairs,
+        family, n, chain.from_iterable(map(elements, repeat(n), range(n + 1))), is_fixed,
+        apply, key, serialize, expected_fixed(n), collect_pairs,
     )
 
 
@@ -832,4 +847,4 @@ def serialized_family(family: str, n: int, ks) -> Iterator[str]:
     element is built; the elements are then produced one at a time."""
     cap, elements, _, _, _, serialize, _ = _involution(family)
     _check_cap(n, cap, f"enumerate_family_{family}")
-    return (serialize(e) for k in ks for e in elements(n, k))
+    return map(serialize, chain.from_iterable(map(elements, repeat(n), ks)))

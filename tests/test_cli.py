@@ -363,6 +363,25 @@ class TestInvolution:
             f"failures: weight_reversal={report.size - report.fixed_count}\n"
         )
 
+    def test_image_on_the_fixed_set_is_a_reported_failure(self, capsys, monkeypatch):
+        # psi is undefined on the fixed tree a mutant sends w0 to, so
+        # checking that image's image raises inside the certifier, which
+        # counts it as w0's failure and still prints every certificate
+        real_psi = combinat._psi_word
+        fixed = combinat._word(combinat.fixed_set_P(4)[0])
+        w0 = next(
+            w for k in range(4) for w in combinat._iter_family_trees(4, k, "P")
+            if combinat._word_key(w) == (-1, combinat._word_key(fixed)[1])
+        )
+        monkeypatch.setattr(
+            combinat, "_psi_word", lambda w, family: fixed if w == w0 else real_psi(w, family)
+        )
+        code, out, err = run(capsys, "involution", "--family", "P", "--n", "4")
+        assert code == EXIT_MISMATCH
+        assert "certificate multiset_closure: FAIL\ncertificate self_inverse: FAIL\n" in out
+        assert out.count(": pass") == 3
+        assert err.endswith("failures: multiset_closure=2 self_inverse=2\n")
+
 
 class TestEnumerate:
     def test_dyck(self, capsys):

@@ -321,6 +321,31 @@ class TestInvolutions:
         assert report.certified
         assert len(calls) <= report.size + (report.size - report.fixed_count)
 
+    def test_tokens_interned_only_by_structural_psi(self, monkeypatch):
+        # warm, the family's words are copied from cached shape words: a
+        # structural psi case interns its two edited tokens, and each k and
+        # the fixed set a handful more, never one per shape and k (P 6 has
+        # 1,221 of those)
+        n = 6
+        cb.involution_verify("P", n)
+        calls, structural = [], []
+        real_token, real_toggle = cb._token, cb._toggle_word
+
+        def counting_token(tag, degree):
+            calls.append((tag, degree))
+            return real_token(tag, degree)
+
+        def counting_toggle(w):
+            toggled = real_toggle(w)
+            structural.append(toggled is None)
+            return toggled
+
+        monkeypatch.setattr(cb, "_token", counting_token)
+        monkeypatch.setattr(cb, "_toggle_word", counting_toggle)
+        report = cb.involution_verify("P", n)
+        assert report.certified and sum(structural) > 400
+        assert len(calls) - 2 * sum(structural) <= 4 * (n + 1)
+
     @pytest.mark.parametrize("family,top", [("P", 6), ("Q", 5)])
     def test_psi_matches_recursive_toggle(self, family, top):
         # the pre-order scan flips the same vertex as a recursive walk, so psi
@@ -586,6 +611,15 @@ class TestShapesAndFixedSets:
                 for forest in _reference_children_seqs(total)
             ), total
 
+    @pytest.mark.parametrize("leaf", ["q", "q2"])
+    def test_shape_words_are_the_shapes_unmarked(self, leaf):
+        for v in range(11):
+            assert cb._shape_words(v, leaf) == tuple(
+                (tuple(cb._token("1", d) if d else cb._token(leaf, 0) for d in degrees),
+                 tuple(i for i, d in enumerate(degrees) if i and d == 1))
+                for degrees in cb._tree_shapes(v)
+            ), v
+
     @pytest.mark.parametrize("family,top", [("P", 9), ("Q", 8)])
     def test_fixed_sets_in_nested_order(self, family, top):
         for n in range(top + 1):
@@ -650,6 +684,16 @@ class TestWords:
         assert not cb.is_fixed_tree(("1", (("2q", (leaf,)),)), "P")
         assert not cb.is_fixed_tree(("1", (("1", (leaf, leaf, leaf)),)), "Q")
         assert not cb.is_fixed_tree(("1", (leaf, leaf)), "P")
+
+    @pytest.mark.parametrize("family,top", [("P", 7), ("Q", 6)])
+    def test_key_is_the_product_of_tag_weights(self, family, top):
+        for n in range(top + 1):
+            for k in range(n + 1):
+                for w in cb._iter_family_trees(n, k, family):
+                    weights = [cb._TAG_WEIGHTS[cb._TOKENS[token][0]] for token in w]
+                    assert cb._word_key(w) == (
+                        prod(c for c, _ in weights), sum(e for _, e in weights)
+                    ), w
 
     @pytest.mark.parametrize("family,top", [("P", 6), ("Q", 5)])
     def test_serialiser_and_key_match_nested_walks(self, family, top):
@@ -933,6 +977,44 @@ class TestCertificateMutants:
         assert report.fixed_count == len(cb.fixed_set_P(4))
         assert report.failures == {**NO_FAILURES, "multiset_closure": 2, "self_inverse": 1}
         assert report.counterexample == cb.serialize_tree(t1)
+
+    def test_mutant_onto_the_fixed_set_one_way(self, monkeypatch):
+        # as above, but the fixed tree keeps the real psi, which raises on
+        # it: t0 fails self-inverse instead of crashing the certifier, and
+        # t1, whose image t0 no longer returns, fails too
+        real_psi = cb._psi_word
+        fixed = cb._word(cb.fixed_set_P(4)[0])
+        w0 = next(
+            w for k in range(4) for w in cb._iter_family_trees(4, k, "P")
+            if cb._word_key(w) == (-1, cb._word_key(fixed)[1])
+        )
+        w1 = real_psi(w0, "P")
+        monkeypatch.setattr(
+            cb, "_psi_word", lambda w, family: fixed if w == w0 else real_psi(w, family)
+        )
+        report = cb.involution_verify("P", 4)
+        assert report.fixed_count == len(cb.fixed_set_P(4))
+        assert report.failures == {**NO_FAILURES, "multiset_closure": 2, "self_inverse": 2}
+        first = next(
+            w for k in range(5) for w in cb._iter_family_trees(4, k, "P") if w in (w0, w1)
+        )
+        assert report.counterexample == cb._serialize_word(first)
+
+    def test_phi_onto_the_fixed_set(self, monkeypatch):
+        # p goes to an all-1 path, which weighs 1, not -weight(p), and on
+        # which phi raises; phi(p) still goes to p
+        real_phi = cb.phi
+        elements = [e for k in range(5) for e in cb._iter_flat_family_D(4, k)]
+        p = next(e for e in elements if not cb._is_unweighted(e))
+        q = real_phi(p)
+        fixed = cb.WeightedDyckPath(p.steps, (0,) * 4)
+        monkeypatch.setattr(cb, "phi", lambda path: fixed if path == p else real_phi(path))
+        report = cb.involution_verify("D", 4)
+        assert report.failures == {
+            **NO_FAILURES, "multiset_closure": 2, "self_inverse": 2, "weight_reversal": 1,
+        }
+        first = next(e for e in elements if e in (p, q))
+        assert report.counterexample == cb.serialize_path(first)
 
     def test_mutant_on_repeated_paths(self, monkeypatch):
         # D's flattened paths are all distinct at n <= 6, so the enumeration

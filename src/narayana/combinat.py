@@ -6,14 +6,12 @@ up-step, left to right: 0 for weight 1, +1 for weight q, -1 for weight -q.
 Decorated elements (base path plus insertions) are family D's public form.
 The involution acts on flattened paths; no two decorated elements of one
 size flatten alike (checked by full enumeration for n <= 7).  D and its
-all-(+-q) subfamily are enumerated flat by one generator, each insertion
-tuple's steps joined once for all its sign patterns; `flatten` stays as the
-reference they are tested against.  phi reads each word's primitive
-components from a per-word cache.  The weight sums of D, P and Q build no
-element: one tally of the m-fold mark products, scaled by class counts.  D's
-count of insertion tuples is the Lagrange coefficient [x^(n-k)] C(x)^(2k+1),
-read from `series._catalan_power`, which `lagrange_coefficient_check` ties to
-the binomial formula.
+all-(+-q) subfamily are enumerated flat, each insertion tuple's steps joined
+once and mapped over all its sign patterns; `flatten` stays as the reference.
+phi reads each word's primitive components from a per-word cache.  The
+weight sums of D, P and Q build no element: one tally of the m-fold mark
+products, scaled by class counts.  D's count of insertion tuples is the
+Lagrange coefficient [x^(n-k)] C(x)^(2k+1), read from `series._catalan_power`.
 
 Weighted plane trees are nested pairs (tag, children) only at the public
 boundary.  Tags: "1" unmarked internal, "q"/"q2" leaf, "m1" marked unary -1,
@@ -21,13 +19,14 @@ boundary.  Tags: "1" unmarked internal, "q"/"q2" leaf, "m1" marked unary -1,
 only, treated as transparent by the structural tests).  Inside the module a
 tree is its pre-order word (Lukasiewicz word): one flat tuple of shared
 tokens, one per vertex in pre-order, each naming the vertex's tag and
-out-degree.  Shapes are generated as pre-order degree sequences, and the
-families and fixed sets as words, each shape's unmarked word cached per
-vertex count and leaf tag.  A word's weight is read from per-token
-coefficient and exponent tables, and psi edits at most two tokens, since a
-subtree is a slice and its rightmost leaf its last token.  Only `_tree` and
-`_word` convert, in the public tree functions.  The certifier's rows for P
-and Q bind their family by closures.
+out-degree.  Shapes are degree sequences, the fixed sets words; a family's
+words at one choice of marked positions are one `product` over the shape's
+cached unmarked word with the marks at those positions.  psi edits at most
+two tokens, since a subtree is a slice and its rightmost leaf its last token.
+
+Each family reaches the certifier as one chain of C iterators (D's maps,
+P's and Q's products), no Python frame resumed per element, and a pair that
+closes in the stream leaves no weight tally: its +w and -w cancel.
 """
 
 from __future__ import annotations
@@ -183,22 +182,25 @@ def _flat_paths(n: int, k: int, bases, signs) -> Iterator[WeightedDyckPath]:
     insertion i before base step i, so 2k + 1 insertions and 2k base steps
     fill 4k + 1 slots.  Each insertion tuple's steps are joined once, and one
     tag tuple per sign pattern, the base's peak tags at fixed cut points,
-    serves every insertion tuple of the (base, composition)."""
-    for base in bases:
-        peaks = iter(_base_tags(base))
-        fixed = [[(next(peaks),)] if step == "U" else [] for step in base]
-        slots = [""] * (4 * k + 1)
-        slots[1::2] = base
-        for comp in _compositions(n - k, 2 * k + 1):
-            spaces = []
-            for m, tag in zip(comp, fixed):
-                spaces += [signs] * m + tag
-            spaces += [signs] * comp[-1]
-            tag_tuples = list(product(*spaces))
-            for paths in product(*[_dyck_paths(m) for m in comp]):
-                slots[::2] = paths
-                steps = repeat("".join(slots))
-                yield from map(_tuple_new, repeat(WeightedDyckPath), zip(steps, tag_tuples))
+    serves every insertion tuple of the (base, composition): one chain of
+    maps, one per insertion tuple."""
+    def maps():
+        for base in bases:
+            peaks = iter(_base_tags(base))
+            fixed = [[(next(peaks),)] if step == "U" else [] for step in base]
+            slots = [""] * (4 * k + 1)
+            slots[1::2] = base
+            for comp in _compositions(n - k, 2 * k + 1):
+                spaces = []
+                for m, tag in zip(comp, fixed):
+                    spaces += [signs] * m + tag
+                spaces += [signs] * comp[-1]
+                tag_tuples = list(product(*spaces))
+                for paths in product(*[_dyck_paths(m) for m in comp]):
+                    slots[::2] = paths
+                    steps = repeat("".join(slots))
+                    yield map(_tuple_new, repeat(WeightedDyckPath), zip(steps, tag_tuples))
+    return chain.from_iterable(maps())
 
 
 def _iter_flat_family_D(n: int, k: int) -> Iterator[WeightedDyckPath]:
@@ -272,9 +274,9 @@ def phi(p: WeightedDyckPath) -> WeightedDyckPath:
     flip its first up-step if weighted +-q, else recurse into its interior; that
     is, flip the first +-q up-step among the arches enclosing the last one.
     """
-    if _is_unweighted(p):
-        raise FixedElementError("phi is undefined on all-1-weighted paths")
     tags = p.tags
+    if not any(tags):
+        raise FixedElementError("phi is undefined on all-1-weighted paths")
     last = len(tags) - 1
     while not tags[last]:
         last -= 1
@@ -435,32 +437,32 @@ def serialize_tree(t) -> str:
 def _shape_words(vertices: int, leaf: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Each shape of `_tree_shapes(vertices)` as its unmarked word, leaves
     tagged `leaf` and the other vertices "1", with its non-root unary
-    positions."""
-    leaf_token = _token(leaf, 0)
+    positions.  A word reads its tokens from one list indexed by degree."""
+    tokens = [_token(leaf, 0)] + [_token("1", d) for d in range(1, vertices)]
     return tuple(
-        (tuple(_token("1", d) if d else leaf_token for d in degrees),
+        (tuple(map(tokens.__getitem__, degrees)),
          tuple(i for i, d in enumerate(degrees) if i and d == 1))
         for degrees in _tree_shapes(vertices)
     )
 
 
 def _iter_family_trees(n: int, k: int, family: str) -> Iterator[tuple[int, ...]]:
-    """The words of the family at (n, k): each shape's unmarked word with
-    every choice of n - k marked unary positions and of their marks."""
+    """The words of the family at (n, k): one chain of a `product` per shape
+    and choice of n - k marked unary positions, over the shape's tokens as
+    1-tuples with the family's marks at those positions."""
     info = _FAMILY[family]
-    marks_needed = n - k
-    marks = [_token(mark, 1) for mark in info["marks"]]
-    for template, unary in _shape_words(n + 2, info["leaf"]):
-        if len(unary) < marks_needed:
-            continue
-        word = list(template)
-        for positions in combinations(unary, marks_needed):
-            for tokens in product(marks, repeat=marks_needed):
-                for position, token in zip(positions, tokens):
-                    word[position] = token
-                yield tuple(word)
-            for position in positions:
-                word[position] = template[position]
+    marks = tuple(_token(mark, 1) for mark in info["marks"])
+
+    def products():
+        for template, unary in _shape_words(n + 2, info["leaf"]):
+            slots = list(zip(template))
+            for positions in combinations(unary, n - k):
+                for position in positions:
+                    slots[position] = marks
+                yield product(*slots)
+                for position in positions:
+                    slots[position] = (template[position],)
+    return chain.from_iterable(products())
 
 
 def _enumerate_family(n: int, k: int, family: str) -> list:
@@ -723,13 +725,12 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
     img = apply(e), key(img) and apply(img).  When both checks pass, img
     goes into `open_pairs` with its partner and weight, once per occurrence
     (`elements` may repeat one).  A later non-fixed occurrence of img pops
-    it: apply(img) == e and key(img) were computed, and apply(e) == img
-    holds, so img passes both checks, and the +1/-1 the closure would count
-    for e and for img cancel.  So only failing elements enter the closure,
-    and each pair still open at the end adds +partner, -img, which is what
-    the two visits would leave when img is fixed or not in the family.  The
-    closure multiset, every per-element result and the counterexample are
-    therefore those of visiting every element from its own end."""
+    it, and img passes both checks, so the two visits' +1/-1 in the closure
+    and +w/-w in the total cancel: a closed pair leaves no tally.  Only
+    fixed and failing elements are tallied, and each pair open at the end
+    adds +partner, -img and the partner's weight per occurrence due, as the
+    two visits would when img is fixed or not in the family.  So every
+    result is that of visiting every element from its own end."""
     closure = Counter()  # failing elements +1, their images -1
     # image -> (partner, image's coefficient, its exponent, occurrences still
     # due), flat, so that an open pair holds one tuple, not two
@@ -739,8 +740,7 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
     size = fixed_count = self_inverse = weight_reversal = 0
     counterexample = None
     pairs, seen_pairs = [], set()
-    for e in elements:
-        size += 1
+    for size, e in enumerate(elements, 1):
         if is_fixed(e):
             coeff, exponent = key(e)
             total[exponent] += coeff
@@ -749,13 +749,10 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
             continue
         met = open_pairs.pop(e, None)
         if met is not None:
-            partner, coeff, exponent, due = met
-            total[exponent] += coeff
-            if due > 1:
-                open_pairs[e] = (partner, coeff, exponent, due - 1)
+            if met[3] > 1:
+                open_pairs[e] = (*met[:3], met[3] - 1)
             continue
         coeff, exponent = key(e)
-        total[exponent] += coeff
         img = apply(e)
         img_key = key(img)
         # weights are nonzero monomials, so equal keys <=> equal weights
@@ -765,9 +762,10 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
         except FixedElementError:  # e was sent onto the fixed set
             inverse_ok = False
         if reversed_ok and inverse_ok:
-            met = open_pairs.get(img)
-            open_pairs[img] = (e, -coeff, exponent, 1 if met is None else met[3] + 1)
+            if open_pairs.setdefault(img, opened := (e, -coeff, exponent, 1)) is not opened:
+                open_pairs[img] = (e, -coeff, exponent, open_pairs[img][3] + 1)
         else:
+            total[exponent] += coeff
             closure[e] += 1
             closure[img] -= 1
             weight_reversal += not reversed_ok
@@ -779,9 +777,10 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
             if pair not in seen_pairs:
                 seen_pairs.add(pair)
                 pairs.append((serialize(e), serialize(img)))
-    for img, (partner, _, _, due) in open_pairs.items():
+    for img, (partner, coeff, exponent, due) in open_pairs.items():
         closure[partner] += due
         closure[img] -= due
+        total[exponent] -= coeff * due
     for e in expected_fixed:
         fixed_match[e] -= 1
         coeff, exponent = key(e)

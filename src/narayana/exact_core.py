@@ -233,7 +233,8 @@ class QPolynomial:
         return self.is_constant or other.is_constant or self.var == other.var
 
     def __hash__(self):
-        return hash((self.coeffs, self.var if not self.is_constant else None))
+        # a constant equals its scalar, so it hashes as that scalar (0 if zero)
+        return hash(self.coefficient(0)) if self.is_constant else hash((self.coeffs, self.var))
 
     def __repr__(self):
         if self.is_zero:

@@ -807,6 +807,18 @@ def _report_fields(report):
 NO_FAILURES = dict.fromkeys(cb.CERTIFICATES, 0)
 
 
+def _streamed_weight(family, n):
+    """The plain sum of the weights of the elements the certifier is fed
+    for `family` at n, read through whatever enumerators are in place now:
+    what `total_weight` must be however many pairs close in the stream."""
+    if family == "Dbar":
+        return sum(map(cb.path_weight, cb.dbar_elements(n)), QPolynomial.zero("q"))
+    elements = cb._involution(family)[1]
+    stream = (e for k in range(n + 1) for e in elements(n, k))
+    weight = cb.path_weight if family == "D" else lambda w: cb.tree_weight(cb._tree(w))
+    return sum(map(weight, stream), QPolynomial.zero("q"))
+
+
 class TestCertifier:
     @pytest.mark.parametrize("collect_pairs", [False, True])
     @pytest.mark.parametrize("family,top", [("D", 5), ("P", 6), ("Q", 5), ("Dbar", 6)])
@@ -824,6 +836,14 @@ class TestCertifier:
             expected = _reference_report(family, n, collect_pairs)
             assert _report_fields(report) == _report_fields(expected), (family, n)
             assert report.failures == NO_FAILURES, (family, n)
+
+    @pytest.mark.parametrize("family,top", [("D", 5), ("Dbar", 6), ("P", 6), ("Q", 5)])
+    def test_total_weight_is_the_plain_sum_of_the_stream(self, family, top):
+        # closed pairs leave no tally, yet the total is every element's weight
+        for n in range(1 if family == "Dbar" else 0, top + 1):
+            report = (cb.dbar_involution_check(n) if family == "Dbar"
+                      else cb.involution_verify(family, n))
+            assert report.total_weight == _streamed_weight(family, n), (family, n)
 
     def test_report_record(self):
         # the constructor `_reference_certify` uses; fresh pairs and failures
@@ -977,6 +997,7 @@ class TestCertificateMutants:
         assert report.fixed_count == len(cb.fixed_set_P(4))
         assert report.failures == {**NO_FAILURES, "multiset_closure": 2, "self_inverse": 1}
         assert report.counterexample == cb.serialize_tree(t1)
+        assert report.total_weight == _streamed_weight("P", 4)
 
     def test_mutant_onto_the_fixed_set_one_way(self, monkeypatch):
         # as above, but the fixed tree keeps the real psi, which raises on
@@ -995,6 +1016,7 @@ class TestCertificateMutants:
         report = cb.involution_verify("P", 4)
         assert report.fixed_count == len(cb.fixed_set_P(4))
         assert report.failures == {**NO_FAILURES, "multiset_closure": 2, "self_inverse": 2}
+        assert report.total_weight == _streamed_weight("P", 4)
         first = next(
             w for k in range(5) for w in cb._iter_family_trees(4, k, "P") if w in (w0, w1)
         )
@@ -1013,6 +1035,7 @@ class TestCertificateMutants:
         assert report.failures == {
             **NO_FAILURES, "multiset_closure": 2, "self_inverse": 2, "weight_reversal": 1,
         }
+        assert report.total_weight == _streamed_weight("D", 4)
         first = next(e for e in elements if e in (p, q))
         assert report.counterexample == cb.serialize_path(first)
 
@@ -1040,6 +1063,7 @@ class TestCertificateMutants:
         monkeypatch.setattr(cb, "_iter_flat_family_D", doubled_flat)
         report = _report_against_reference("D", 3)
         assert report.failures == NO_FAILURES and report.size == 2 * 101 - 5
+        assert report.total_weight == _streamed_weight("D", 3)
         # p goes to a path one semilength longer with its true image's
         # weight, and back; both copies of p open that image, and neither
         # copy of q = phi(p) finds p sent back
@@ -1055,12 +1079,14 @@ class TestCertificateMutants:
         report = _report_against_reference("D", 3)
         assert report.failures == {**NO_FAILURES, "multiset_closure": 4, "self_inverse": 2}
         assert report.counterexample == cb.serialize_path(q)
+        assert report.total_weight == _streamed_weight("D", 3)
         # q is sent out of the family too: every element passes its own
         # checks, and only the two pairs left open, twice each, show it
         swaps.update({q: lengthened(p), lengthened(p): q})
         report = _report_against_reference("D", 3)
         assert report.failures == {**NO_FAILURES, "multiset_closure": 8}
         assert report.counterexample is None
+        assert report.total_weight == _streamed_weight("D", 3)
 
     def test_fixed_set_missing_an_element(self, monkeypatch):
         real = cb._fixed_words

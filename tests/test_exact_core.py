@@ -60,6 +60,20 @@ class TestQPolynomial:
         assert (c + x).var == "x"
         assert c == QPolynomial.constant(3, "x")
 
+    @pytest.mark.parametrize("scalar", [0, 3, -7, Fraction(1, 2), Fraction(6, 3)])
+    def test_constant_hashes_as_its_scalar(self, scalar):
+        # equal objects hash alike, so a set or dict key holds one of them
+        for var in ("q", "x"):
+            c = QPolynomial.constant(scalar, var)
+            assert c == scalar and hash(c) == hash(scalar)
+            assert len({scalar, c}) == 1 and {c: 1}[scalar] == 1
+        assert len({QPolynomial.zero("q"), QPolynomial.zero("x"), 0}) == 1
+
+    def test_non_constant_hash_keeps_its_indeterminate(self):
+        q, x = QPolynomial((1, 2), "q"), QPolynomial((1, 2), "x")
+        assert hash(q) == hash(((1, 2), "q")) and q != x
+        assert len({q, QPolynomial((1, 2, 0), "q"), x}) == 2
+
     def test_mismatched_vars_rejected(self):
         q = QPolynomial((0, 1), "q")
         x = QPolynomial((0, 1), "x")

@@ -1085,7 +1085,8 @@ _CAUGHT_BY = {
 
 def _failing_checks() -> set:
     """The registered checks, the integral representation and the series
-    checks that fail for some admissible n (or order) <= _AUDIT_MAX_N."""
+    checks that fail for some admissible n (or order, or 0 <= k <= n)
+    <= _AUDIT_MAX_N."""
     runs = [
         (tag, partial(check_identity, tag), range(identity_min_n(tag), _AUDIT_MAX_N + 1))
         for tag in IDENTITY_TAGS
@@ -1097,6 +1098,8 @@ def _failing_checks() -> set:
         ("omega_composition_first", partial(series.omega_composition_check, "first"), positive),
         ("omega_composition_second", partial(series.omega_composition_check, "second"), positive),
         ("legendre_gf", series.legendre_gf_check, range(_AUDIT_MAX_N + 1)),
+        ("lagrange_coefficient", lambda nk: series.lagrange_coefficient_check(*nk),
+         [(n, k) for n in range(_AUDIT_MAX_N + 1) for k in range(n + 1)]),
     ]
     return {name for name, check, ns in runs if not all(check(n).equal for n in ns)}
 

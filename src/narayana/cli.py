@@ -37,9 +37,20 @@ def _value_repr(v):
     return _frac_str(v)
 
 
+def _json(r) -> str:
+    """`json.dumps(r)` for a `_value_repr` value or a check's tag: their
+    strings hold only ASCII letters, digits, "_", "-" and "/", which JSON
+    writes as they are."""
+    if type(r) is str:
+        return f'"{r}"'
+    if r and type(r[0]) is list:
+        return "[" + ", ".join(map(_json, r)) + "]"
+    return '["' + '", "'.join(r) + '"]' if r else "[]"
+
+
 def _value_text(v) -> str:
     r = _value_repr(v)
-    return json.dumps(r) if isinstance(r, list) else r
+    return _json(r) if isinstance(r, list) else r
 
 
 def _first_difference(lhs, rhs) -> str:
@@ -61,15 +72,9 @@ def _first_difference(lhs, rhs) -> str:
 def _emit_check(result, fmt: str):
     if fmt == "json":
         print(
-            json.dumps(
-                {
-                    "identity": result.identity,
-                    "n": result.n,
-                    "lhs": _value_repr(result.lhs),
-                    "rhs": _value_repr(result.rhs),
-                    "equal": result.equal,
-                }
-            )
+            f'{{"identity": {_json(result.identity)}, "n": {result.n}, '
+            f'"lhs": {_json(_value_repr(result.lhs))}, "rhs": {_json(_value_repr(result.rhs))}, '
+            f'"equal": {"true" if result.equal else "false"}}}'
         )
     else:
         status = "ok" if result.equal else "MISMATCH"

@@ -438,18 +438,41 @@ class PolySeries:
             out.append(_combine(weighted, b * n))
         return PolySeries(out, self.order)
 
-    def reciprocal(self) -> "PolySeries":
-        """Multiplicative inverse, exact through the truncation order.
-
-        The constant coefficient must be a nonzero rational constant.
-        """
+    def _divisor_constant(self) -> Scalar:
+        """The constant coefficient, which a divisor needs nonzero and rational."""
         c0 = self.coeffs[0]
         if not c0.is_constant or c0.is_zero:
             raise SeriesPreconditionError(
                 f"reciprocal needs a nonzero constant leading coefficient, got {c0!r}"
             )
-        inv0 = Fraction(1) / c0.constant_value()
-        return (self * inv0)._power(Fraction(-1)) * inv0
+        return c0.constant_value()
+
+    def reciprocal(self, numerator: "PolySeries | None" = None) -> "PolySeries":
+        """numerator / self, or 1 / self with no numerator, exact through the
+        truncation order.
+
+        Back-substitution over the nonzero coefficients of self only,
+        y_m = (s_m - sum_{i >= 1, d_i != 0} d_i y_{m-i}) / d_0: one product
+        term per nonzero d_i and output coefficient, the sparsity `_power`'s
+        recurrence also uses (Knuth, TAOCP vol. 2, 4.7).  The constant
+        coefficient d_0 must be a nonzero rational constant.
+        """
+        d0 = Fraction(self._divisor_constant())
+        if numerator is None:
+            numerator = PolySeries.one(self.order)
+        self._check_order(numerator)
+        # y_m = (b s_m - sum b d_i y_{m-i}) / a for d_0 = a/b
+        a, b = d0.numerator, d0.denominator
+        terms = [(i, d) for i, d in enumerate(self.coeffs) if i and not d.is_zero]
+        one, out = QPolynomial.one(), []
+        for m, s in enumerate(numerator.coeffs):
+            weighted = [(-b, d, out[m - i]) for i, d in terms if i <= m]
+            weighted.append((b, s, one))
+            out.append(_combine(weighted, a))
+        return PolySeries(out, self.order)
+
+    def __truediv__(self, other: "PolySeries") -> "PolySeries":
+        return other.reciprocal(self)
 
     def sqrt(self) -> "PolySeries":
         """Square root by coefficient recurrence; needs constant coefficient 1."""
@@ -460,26 +483,36 @@ class PolySeries:
             )
         return self._power(Fraction(1, 2))
 
-    def compose(self, inner: "PolySeries") -> "PolySeries":
-        """self(inner(x)); the inner series must have zero constant term.
+    def compose(self, inner: "PolySeries", den: "PolySeries | None" = None) -> "PolySeries":
+        """self(inner(x) / den(x)), den being 1 when not given; the inner series
+        must have zero constant term, and den a nonzero rational one.
 
-        Summed as sum_j c_j inner^j with each power grown from the last: inner^j
-        starts at x^j and the series product skips zero coefficients, so this is
-        a triangle of products, not Horner's order + 1 full ones.
+        By Horner's rule from the innermost coefficient c_N of self: the partial
+        sum that starts at c_j is multiplied by (inner / den)^j, whose valuation
+        is j * v for v that of inner, so it is kept only through x^(order - j v).
+        Each step is one series product by inner, which skips its zero
+        coefficients, and one division by den over den's nonzero coefficients:
+        with a sparse inner and den, O(order) polynomial products a step.
         """
         self._check_order(inner)
         if not inner.coeffs[0].is_zero:
             raise SeriesPreconditionError(
                 f"composition needs zero inner constant term, got {inner.coeffs[0]!r}"
             )
-        terms = [[(1, self.coeffs[0], QPolynomial.one())]] + [[] for _ in range(self.order)]
-        power = PolySeries.one(self.order)
-        for c in self.coeffs[1:]:
-            power = power * inner
-            for m, p in enumerate(power.coeffs):
-                if not (p.is_zero or c.is_zero):
-                    terms[m].append((1, c, p))
-        return PolySeries([_combine(t) for t in terms], self.order)
+        if den is not None:
+            self._check_order(den)
+            den._divisor_constant()
+        n = self.order
+        v = next((i for i, c in enumerate(inner.coeffs) if not c.is_zero), n + 1)
+        top = n // v
+        acc = PolySeries(self.coeffs[top : top + 1], n - top * v)
+        for j in range(top - 1, -1, -1):
+            k = n - j * v
+            acc = PolySeries(acc.coeffs, k) * PolySeries(inner.coeffs, k)
+            if den is not None:
+                acc = PolySeries(den.coeffs, k).reciprocal(acc)
+            acc = acc + self.coeffs[j]
+        return acc
 
     def shift_down(self, m: int) -> "PolySeries":
         """Divide by x^m, 0 <= m <= order; the m lowest coefficients must

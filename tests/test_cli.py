@@ -9,7 +9,8 @@ import pytest
 
 from narayana import combinat, exact_core, identities, sequences, series
 from narayana.cli import (
-    _CHECKS, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, ROW_TABLE_CAP, TABLE_CAP, main,
+    _CHECKS, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, ROW_TABLE_CAP, TABLE_CAP, _json, _value_repr,
+    main,
 )
 from narayana.identities import IDENTITY_TAGS
 
@@ -90,6 +91,15 @@ class TestVerify:
         assert [r["n"] for r in records] == [0, 1, 2, 3]
         assert all(r["equal"] for r in records)
         assert list(records[0]) == ["identity", "n", "lhs", "rhs", "equal"]
+
+    def test_json_writer_matches_json_dumps(self):
+        # every value and tag `verify --identity all --max-n 14` prints
+        for _, results in _CHECKS.values():
+            for result in results(14):
+                assert _json(result.identity) == json.dumps(result.identity)
+                for side in (result.lhs, result.rhs):
+                    r = _value_repr(side)
+                    assert _json(r) == json.dumps(r), result.identity
 
     def test_rationals_rendered_as_p_over_q(self, capsys):
         code, out, _ = run(

@@ -433,6 +433,41 @@ class TestSeriesAgainstReference:
         inner = _with_constant(data.draw(series_cases(order=outer.order, var=var)), 0)
         assert_same(outer.compose(inner), _reference_compose(outer, inner))
 
+    @given(st.sampled_from("qx"), small_rationals.filter(bool), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_division(self, var, c0, data):
+        den = _with_constant(data.draw(series_cases(var=var)), c0)
+        num = data.draw(series_cases(order=den.order, var=var))
+        expected = _reference_mul(num, _reference_reciprocal(den))
+        assert_same(den.reciprocal(num), expected)
+        assert_same(num / den, expected)
+
+    @given(series_cases(), st.booleans(), small_rationals.filter(bool), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_compose_over_a_denominator(self, outer, scalar_outer, c0, data):
+        var = outer.coeffs[0].var
+        if scalar_outer:
+            outer = PolySeries([c.coefficient(0) for c in outer.coeffs], outer.order)
+            var = data.draw(st.sampled_from("qx"))
+        inner = _with_constant(data.draw(series_cases(order=outer.order, var=var)), 0)
+        den = _with_constant(data.draw(series_cases(order=outer.order, var=var)), c0)
+        assert_same(
+            outer.compose(inner, den),
+            _reference_compose(outer, _reference_mul(inner, _reference_reciprocal(den))),
+        )
+
+    @pytest.mark.parametrize("den", [
+        PolySeries([0, 1], 5),
+        PolySeries([QPolynomial((1, 1), "q"), 1], 5),
+        PolySeries([1, 1], 4),
+    ], ids=["zero-d0", "non-constant-d0", "order-mismatch"])
+    def test_division_preconditions(self, den):
+        with pytest.raises(SeriesPreconditionError):
+            den.reciprocal(PolySeries([1, 2], 5))
+        for inner in (PolySeries([0, 1], 5), PolySeries.zero(5)):
+            with pytest.raises(SeriesPreconditionError):
+                PolySeries([1, 1, 1], 5).compose(inner, den)
+
     @given(series_cases(order=6), st.sampled_from(
         [Fraction(-1, 2), Fraction(3, 2), Fraction(-2), Fraction(3), Fraction(-1, 3)]
     ))

@@ -1012,6 +1012,14 @@ def _dropped_cross_term(real, a, b):
     return exact_core.PolySeries(coeffs, product.order)
 
 
+def _without_d2(real, den, numerator=None):
+    """Series division as if its back-substitution dropped the d_2 term."""
+    cs = list(den.coeffs)
+    if len(cs) > 2:
+        cs[2] = QPolynomial.zero()
+    return real(exact_core.PolySeries(cs, den.order), numerator)
+
+
 # helper -> mutant factory (given the real helper): one entry off by one each,
 # and horner's two summing the terms in reverse order or skipping the division
 _MUTANTS = {
@@ -1038,6 +1046,8 @@ _MUTANTS = {
     # a primitive of exact_core, patched on its class (as a function, which
     # binds as a method where a partial would not)
     "PolySeries.__mul__/dropped": lambda real: lambda a, b: _dropped_cross_term(real, a, b),
+    "PolySeries.reciprocal/without_d2": lambda real: lambda den, numerator=None: _without_d2(
+        real, den, numerator),
 }
 
 # helper -> the checks that fail for some n <= 8 under its mutant; up to
@@ -1080,6 +1090,9 @@ _CAUGHT_BY = {
     # not omega_closed_form or legendre_gf: they take a series power and
     # scalar multiples, never a product of two series
     "PolySeries.__mul__/dropped": {"omega_composition_first", "omega_composition_second"},
+    # the compositions divide by d^2 and e^2; the other series checks divide by
+    # nothing
+    "PolySeries.reciprocal/without_d2": {"omega_composition_first", "omega_composition_second"},
 }
 
 

@@ -50,6 +50,12 @@ class TestOmega:
     def test_compositions(self, variant):
         assert omega_composition_check(variant, 14).equal
 
+    @pytest.mark.parametrize("variant", ["first", "second"])
+    def test_compositions_at_order_100(self, variant):
+        # within Tier-1's time only because each composition step divides by
+        # d^2 or e^2 instead of multiplying by a dense inner series
+        assert omega_composition_check(variant, 100).equal
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             omega_composition_check("third", 5)

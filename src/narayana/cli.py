@@ -9,10 +9,8 @@ mathematical check failed.  All output is exact: rationals render as "p/q"
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
 from . import combinat, identities, sequences, series
 from .exact_core import PolySeries, QPolynomial
@@ -25,32 +23,20 @@ TABLE_CAP = 1000  # largest `table --max-n` unless NARAYANA_CAP raises it
 ROW_TABLE_CAP = 300  # the same for a sequence of coefficient rows (output ~ n^3)
 
 
-def _frac_str(f) -> str:
-    return str(f if type(f) is int else Fraction(f))
-
-
-def _value_repr(v):
-    if isinstance(v, QPolynomial):
-        return [_frac_str(c) for c in v.coeffs]
+def _text(v, quoted: bool = False) -> str:
+    """The one writer of a value on stdout: a polynomial (or a table row's
+    coefficient tuple) as the JSON list of its coefficients' str, a series as
+    the list of those, and a scalar bare, or as a JSON string if `quoted`.
+    Every str here holds only digits, "-" and "/", which JSON writes as they
+    are."""
     if isinstance(v, PolySeries):
-        return [[_frac_str(c) for c in p.coeffs] for p in v.coeffs]
-    return _frac_str(v)
-
-
-def _json(r) -> str:
-    """`json.dumps(r)` for a `_value_repr` value or a check's tag: their
-    strings hold only ASCII letters, digits, "_", "-" and "/", which JSON
-    writes as they are."""
-    if type(r) is str:
-        return f'"{r}"'
-    if r and type(r[0]) is list:
-        return "[" + ", ".join(map(_json, r)) + "]"
-    return '["' + '", "'.join(r) + '"]' if r else "[]"
-
-
-def _value_text(v) -> str:
-    r = _value_repr(v)
-    return _json(r) if isinstance(r, list) else r
+        return "[" + ", ".join(map(_text, v.coeffs)) + "]"
+    if isinstance(v, QPolynomial):
+        v = v.coeffs
+    if isinstance(v, tuple):
+        return '["' + '", "'.join(map(str, v)) + '"]' if v else "[]"
+    text = str(v)
+    return f'"{text}"' if quoted else text
 
 
 def _first_difference(lhs, rhs) -> str:
@@ -65,22 +51,22 @@ def _first_difference(lhs, rhs) -> str:
         for d in range(max(len(lhs.coeffs), len(rhs.coeffs))):
             a, b = lhs.coefficient(d), rhs.coefficient(d)
             if a != b:
-                return f"degree {d}: lhs={_frac_str(a)} rhs={_frac_str(b)}"
-    return f"lhs={_value_text(lhs)} rhs={_value_text(rhs)}"
+                return f"degree {d}: lhs={_text(a)} rhs={_text(b)}"
+    return f"lhs={_text(lhs)} rhs={_text(rhs)}"
 
 
 def _emit_check(result, fmt: str):
     if fmt == "json":
         print(
-            f'{{"identity": {_json(result.identity)}, "n": {result.n}, '
-            f'"lhs": {_json(_value_repr(result.lhs))}, "rhs": {_json(_value_repr(result.rhs))}, '
+            f'{{"identity": "{result.identity}", "n": {result.n}, '
+            f'"lhs": {_text(result.lhs, True)}, "rhs": {_text(result.rhs, True)}, '
             f'"equal": {"true" if result.equal else "false"}}}'
         )
     else:
         status = "ok" if result.equal else "MISMATCH"
         print(
             f"{result.identity} n={result.n} "
-            f"lhs={_value_text(result.lhs)} rhs={_value_text(result.rhs)} {status}"
+            f"lhs={_text(result.lhs)} rhs={_text(result.rhs)} {status}"
         )
 
 
@@ -156,11 +142,11 @@ def _rows(value, start=0, cap=TABLE_CAP):
     return cap, lambda max_n: ((n, value(n)) for n in range(start, max_n + 1))
 
 
-def _coefficients(p: QPolynomial, n: int) -> list:
-    return [_frac_str(p.coefficient(i)) for i in range(n + 1)]
+def _coefficients(p: QPolynomial, n: int) -> tuple:
+    return tuple(p.coefficient(i) for i in range(n + 1))
 
 
-# sequence name -> (largest --max-n, rows(max_n) of (n, value or coefficient list))
+# sequence name -> (largest --max-n, rows(max_n) of (n, value or coefficient tuple))
 _SEQUENCES = {
     "narayana_poly": _rows(
         lambda n: _coefficients(sequences.narayana_poly(n), n), cap=ROW_TABLE_CAP
@@ -169,14 +155,14 @@ _SEQUENCES = {
         lambda n: _coefficients(sequences.legendre_poly(n, "standard"), n), cap=ROW_TABLE_CAP
     ),
     "narayana_number": _rows(
-        lambda n: [_frac_str(sequences.narayana_number(n, k)) for k in range(n + 1)],
+        lambda n: tuple(sequences.narayana_number(n, k) for k in range(n + 1)),
         cap=ROW_TABLE_CAP,
     ),
-    "catalan": _rows(lambda n: _frac_str(sequences.catalan(n))),
-    "schroeder": _rows(lambda n: _frac_str(sequences.narayana_poly(n)(2))),
-    "pell": _rows(lambda n: str(sequences.recurrence_seq("pell", n)), start=-1),
-    "fibonacci": _rows(lambda n: str(sequences.recurrence_seq("fibonacci", n)), start=-1),
-    "lucas": _rows(lambda n: str(sequences.recurrence_seq("lucas", n)), start=-1),
+    "catalan": _rows(lambda n: sequences.catalan(n)),
+    "schroeder": _rows(lambda n: sequences.narayana_poly(n)(2)),
+    "pell": _rows(lambda n: sequences.recurrence_seq("pell", n), start=-1),
+    "fibonacci": _rows(lambda n: sequences.recurrence_seq("fibonacci", n), start=-1),
+    "lucas": _rows(lambda n: sequences.recurrence_seq("lucas", n), start=-1),
 }
 
 
@@ -195,11 +181,11 @@ def _cmd_table(args) -> int:
     combinat._check_cap(args.max_n, cap, "--max-n")
     for n, value in rows(args.max_n):
         if args.format == "json":
-            key = "coefficients" if isinstance(value, list) else "value"
-            print(json.dumps({"n": n, key: value}))
+            key = "coefficients" if isinstance(value, tuple) else "value"
+            print(f'{{"n": {n}, "{key}": {_text(value, True)}}}')
         else:
-            cells = value if isinstance(value, list) else [value]
-            print(",".join([str(n)] + cells))
+            cells = value if isinstance(value, tuple) else (value,)
+            print(",".join(map(str, (n, *cells))))
     return EXIT_OK
 
 
@@ -215,8 +201,8 @@ def _cmd_involution(args) -> int:
     for name, passed in report.certificates.items():
         print(f"certificate {name}: {'pass' if passed else 'FAIL'}")
     print(
-        f"total_weight={_value_text(report.total_weight)} "
-        f"fixed_weight={_value_text(report.fixed_weight)}"
+        f"total_weight={_text(report.total_weight)} "
+        f"fixed_weight={_text(report.fixed_weight)}"
     )
     if args.emit_pairs:
         for a, b in report.pairs:

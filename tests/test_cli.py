@@ -4,13 +4,13 @@ import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from narayana import combinat, exact_core, identities, sequences, series
 from narayana.cli import (
-    _CHECKS, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, ROW_TABLE_CAP, TABLE_CAP, _json, _value_repr,
-    main,
+    _CHECKS, _SEQUENCES, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, ROW_TABLE_CAP, TABLE_CAP, main,
 )
 from narayana.identities import IDENTITY_TAGS
 
@@ -39,6 +39,17 @@ ALL_MAX_N_30_TEXT_SHA256 = "ed48553cc8b0725a94b2c672cf4e0fad7393961d2e0edceef6cb
 # and at the default cap, --max-n 50 text, kept since the Horner sums
 ALL_MAX_N_50_TEXT_SHA256 = "f7dfb8f6c23f8188cbeddcb679b85697d1a76835dbed582ac9b9848608eee610"
 
+# sha256 of the writer's largest outputs, recorded before verify, table and
+# involution printed every value through one writer
+WRITER_SHA256 = {
+    ("verify", "--identity", "all", "--max-n", "50", "--format", "json"):
+        "a5c425804129d2c0dc688136bffebb89bef92315267a2009892c3ce60fd5f03d",
+    ("table", "--sequence", "legendre", "--max-n", "300", "--format", "json"):
+        "63bd5e845225e4a79ba1249d42aec780459e01638fa18b17e46b8fd7f99b0c58",
+    ("table", "--sequence", "narayana_poly", "--max-n", "300", "--format", "json"):
+        "a771c80108379a47ecf9193b9ea0a6d349b3019e2b5c942b0b7196fd0e59bcd6",
+}
+
 # sha256 of stdout before the one-pass certifier and the streamed `enumerate`;
 # the larger sizes before psi's rightmost-path walk became one recursion
 INVOLUTION_PAIRS_SHA256 = {
@@ -57,6 +68,18 @@ ENUMERATE_SHA256 = {
     ("D", "4", "2"): "ceecffee4e6d40df360c634ddaf7d1cac6949d85cd6539a2e9ad9e2e30fe297a",
     ("P", "5", "3"): "825a0821a5ce87bbacec1895f14f16e43cce55143807f95175cfc6547f59fe53",
 }
+
+
+def _plain(v):
+    """A check side or table value as nested lists of str, each coefficient
+    read through Fraction."""
+    if isinstance(v, exact_core.PolySeries):
+        return [_plain(p) for p in v.coeffs]
+    if isinstance(v, exact_core.QPolynomial):
+        v = v.coeffs
+    if type(v) is tuple:
+        return [str(Fraction(c)) for c in v]
+    return str(Fraction(v))
 
 
 def run(capsys, *argv):
@@ -92,14 +115,33 @@ class TestVerify:
         assert all(r["equal"] for r in records)
         assert list(records[0]) == ["identity", "n", "lhs", "rhs", "equal"]
 
-    def test_json_writer_matches_json_dumps(self):
-        # every value and tag `verify --identity all --max-n 14` prints
-        for _, results in _CHECKS.values():
-            for result in results(14):
-                assert _json(result.identity) == json.dumps(result.identity)
-                for side in (result.lhs, result.rhs):
-                    r = _value_repr(side)
-                    assert _json(r) == json.dumps(r), result.identity
+    def test_json_writer_matches_json_dumps(self, capsys):
+        # every line `verify --identity all --max-n 14 --format json` prints,
+        # and every table sequence's rows, against json.dumps of a structure
+        # built here from the same values
+        expected = [
+            json.dumps({"identity": r.identity, "n": r.n, "lhs": _plain(r.lhs),
+                        "rhs": _plain(r.rhs), "equal": r.equal})
+            for _, results in _CHECKS.values() for r in results(14)
+        ]
+        _, out, _ = run(capsys, "verify", "--identity", "all", "--max-n", "14", "--format", "json")
+        assert out.splitlines() == expected
+        for name, (_, rows) in _SEQUENCES.items():
+            expected = [
+                json.dumps({"n": n, "coefficients" if type(v) is tuple else "value": _plain(v)})
+                for n, v in rows(14)
+            ]
+            _, out, _ = run(
+                capsys, "table", "--sequence", name, "--max-n", "14", "--format", "json"
+            )
+            assert out.splitlines() == expected, name
+
+    @pytest.mark.parametrize("argv", WRITER_SHA256, ids=["verify-50-json", "legendre-300-json",
+                                                         "narayana-poly-300-json"])
+    def test_writer_largest_outputs_are_pinned(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == WRITER_SHA256[argv]
 
     def test_rationals_rendered_as_p_over_q(self, capsys):
         code, out, _ = run(
@@ -510,6 +552,7 @@ class TestErrorContract:
     @pytest.mark.parametrize("argv", [
         ["verify", "--identity", "all", "--max-n", "50"],
         ["involution", "--family", "Q", "--n", "5", "--emit-pairs"],
+        ["table", "--sequence", "legendre", "--max-n", "300", "--format", "json"],
     ])
     def test_closed_pipe_exits_without_traceback(self, argv):
         # as `narayana ... | head -n 1`: the reader closes after one line

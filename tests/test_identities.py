@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narayana import combinat, exact_core, identities, sequences, series
+from narayana.cli import _CHECKS
 from narayana.exact_core import IndeterminateMismatchError, QPolynomial, binomial
 from narayana.identities import (
     IDENTITY_TAGS,
@@ -1097,24 +1098,12 @@ _CAUGHT_BY = {
 
 
 def _failing_checks() -> set:
-    """The registered checks, the integral representation and the series
-    checks that fail for some admissible n (or order, or 0 <= k <= n)
-    <= _AUDIT_MAX_N."""
-    runs = [
-        (tag, partial(check_identity, tag), range(identity_min_n(tag), _AUDIT_MAX_N + 1))
-        for tag in IDENTITY_TAGS
-    ]
-    positive = range(1, _AUDIT_MAX_N + 1)
-    runs += [
-        ("integral_representation", integral_representation_check, positive),
-        ("omega_closed_form", series.omega_closed_form_check, positive),
-        ("omega_composition_first", partial(series.omega_composition_check, "first"), positive),
-        ("omega_composition_second", partial(series.omega_composition_check, "second"), positive),
-        ("legendre_gf", series.legendre_gf_check, range(_AUDIT_MAX_N + 1)),
-        ("lagrange_coefficient", lambda nk: series.lagrange_coefficient_check(*nk),
-         [(n, k) for n in range(_AUDIT_MAX_N + 1) for k in range(n + 1)]),
-    ]
-    return {name for name, check, ns in runs if not all(check(n).equal for n in ns)}
+    """The checks `verify` runs, read from cli._CHECKS, that fail for some
+    admissible n (or order, or 0 <= k <= n) <= _AUDIT_MAX_N."""
+    return {
+        name for name, (_, results) in _CHECKS.items()
+        if not all(r.equal for r in results(_AUDIT_MAX_N))
+    }
 
 
 class TestMutationAudit:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narayana import sequences, series
+from narayana import exact_core, sequences, series
+from narayana.cli import _CHECKS
 from narayana.exact_core import PolySeries, QPolynomial
 from narayana.sequences import catalan, narayana_poly
 from narayana.series import (
@@ -132,34 +133,35 @@ class TestCatalanPowers:
 
 
 def _five_series_checks(order):
-    yield omega_closed_form_check(order)
-    yield omega_composition_check("first", order)
-    yield omega_composition_check("second", order)
-    yield legendre_gf_check(order)
-    for n in range(order + 1):
-        for k in range(n + 1):
-            yield lagrange_coefficient_check(n, k)
+    """What `verify --max-n order` runs of this module's checks: cli._CHECKS'
+    rows after integral_representation."""
+    names = list(_CHECKS)
+    series_names = names[names.index("integral_representation") + 1:]
+    assert len(series_names) == 5, series_names
+    for name in series_names:
+        yield from _CHECKS[name][1](order)
 
 
 class TestSeriesCost:
     def test_products_at_order_30(self, monkeypatch):
-        # The dense sqrt/reciprocal loops, Horner compose and pair-keyed
-        # Catalan powers made 76,306 QPolynomial products for these checks
-        # at order 30, from cold caches; allow at most a third of that.
+        # Series products are summed term by term in exact_core._combine, not
+        # by QPolynomial.__mul__.  From cold caches these checks gave it 8,528
+        # (weight, f, g) terms at order 30 before the compositions divided by
+        # sparse series, and 3,071 after; allow at most half of the former.
         monkeypatch.setattr(series, "_catalan_power_cache", {})
         sequences.narayana_poly.cache_clear()
         sequences.legendre_poly.cache_clear()
-        calls = [0]
-        real = vars(QPolynomial)["__mul__"]
+        terms = [0]
+        real = exact_core._combine
 
-        def counted(self, other):
-            calls[0] += 1
-            return real(self, other)
+        def counted(products, divisor=1):
+            products = list(products)
+            terms[0] += len(products)
+            return real(products, divisor)
 
-        monkeypatch.setattr(QPolynomial, "__mul__", counted)
-        monkeypatch.setattr(QPolynomial, "__rmul__", counted)
+        monkeypatch.setattr(exact_core, "_combine", counted)
         assert all(r.equal for r in _five_series_checks(30))
-        assert calls[0] <= 76306 // 3, calls[0]
+        assert terms[0] <= 8528 // 2, terms[0]
 
 
 class TestSidesAreIndependent:

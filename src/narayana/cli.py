@@ -101,26 +101,11 @@ _CHECKS = {
 
 def _cmd_verify(args) -> int:
     max_n = args.max_n
-    if max_n < 0:
-        print("verify: --max-n must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     combinat._check_cap(max_n, VERIFY_CAP, "--max-n")
     if args.identity == "all":
         names = [name for name, (min_n, _) in _CHECKS.items() if max_n >= min_n]
-    elif args.identity not in _CHECKS:
-        print(
-            f"verify: unknown identity {args.identity!r}; choose one of "
-            + ", ".join(_CHECKS)
-            + " or 'all'",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     elif max_n < _CHECKS[args.identity][0]:
-        print(
-            f"verify: identity {args.identity} requires n >= {_CHECKS[args.identity][0]}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ValueError(f"identity {args.identity} requires n >= {_CHECKS[args.identity][0]}")
     else:
         names = [args.identity]
 
@@ -167,16 +152,6 @@ _SEQUENCES = {
 
 
 def _cmd_table(args) -> int:
-    if args.max_n < 0:
-        print("table: --max-n must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
-    if args.sequence not in _SEQUENCES:
-        print(
-            f"table: unknown sequence {args.sequence!r}; choose one of "
-            + ", ".join(_SEQUENCES),
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     cap, rows = _SEQUENCES[args.sequence]
     combinat._check_cap(args.max_n, cap, "--max-n")
     for n, value in rows(args.max_n):
@@ -190,9 +165,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_involution(args) -> int:
-    if args.n < 0:
-        print(f"involution: --n must be nonnegative, got {args.n}", file=sys.stderr)
-        return EXIT_USAGE
     report = combinat.involution_verify(args.family, args.n, collect_pairs=args.emit_pairs)
     print(
         f"family={report.family} n={report.n} "
@@ -217,26 +189,30 @@ def _cmd_involution(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    n = args.n
-    if n < 0:
-        print(f"enumerate: --n must be nonnegative, got {n}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.k is not None and args.family == "dyck":
-        print("enumerate: --k does not apply to --family dyck", file=sys.stderr)
-        return EXIT_USAGE
-    if args.k is not None and not 0 <= args.k <= n:
-        print(f"enumerate: --k must be in 0..{n}, got {args.k}", file=sys.stderr)
-        return EXIT_USAGE
-    ks = [args.k] if args.k is not None else range(n + 1)
-    family = args.family
+    n, k, family = args.n, args.k, args.family
+    if k is not None and family == "dyck":
+        raise ValueError("--k does not apply to --family dyck")
+    if k is not None and not 0 <= k <= n:
+        raise ValueError(f"--k must be in 0..{n}, got {k}")
     # the cap is checked before anything is printed; the family then streams
     if family == "dyck":
         lines = (p if p else "(empty)" for p in combinat.enumerate_dyck(n))
     else:
-        lines = combinat.serialized_family(family, n, ks)
+        lines = combinat.serialized_family(family, n, range(n + 1) if k is None else (k,))
     for line in lines:
         print(line)
     return EXIT_OK
+
+
+def _size(text: str) -> int:
+    """The type of --n and --max-n: a nonnegative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,26 +223,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="check identities exactly")
-    p_verify.add_argument("--identity", required=True)
-    p_verify.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p_verify.add_argument("--identity", choices=(*_CHECKS, "all"), metavar="NAME", required=True)
+    p_verify.add_argument("--max-n", type=_size, required=True)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_table = sub.add_parser("table", help="print a sequence/polynomial table")
-    p_table.add_argument("--sequence", required=True)
-    p_table.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p_table.add_argument("--sequence", choices=_SEQUENCES, metavar="NAME", required=True)
+    p_table.add_argument("--max-n", type=_size, required=True)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.set_defaults(func=_cmd_table)
 
     p_inv = sub.add_parser("involution", help="run involution certificates")
     p_inv.add_argument("--family", choices=("D", "P", "Q"), required=True)
-    p_inv.add_argument("--n", type=int, required=True)
-    p_inv.add_argument("--emit-pairs", action="store_true", dest="emit_pairs")
+    p_inv.add_argument("--n", type=_size, required=True)
+    p_inv.add_argument("--emit-pairs", action="store_true")
     p_inv.set_defaults(func=_cmd_involution)
 
     p_enum = sub.add_parser("enumerate", help="list family elements")
     p_enum.add_argument("--family", choices=("dyck", "D", "P", "Q"), required=True)
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=_size, required=True)
     p_enum.add_argument("--k", type=int, default=None)
     p_enum.set_defaults(func=_cmd_enumerate)
 
@@ -278,7 +254,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits with 2 on usage errors; remap to the usage code
+        # argparse has printed its usage error (exit 2) or the help (exit 0)
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         code = args.func(args)
@@ -289,10 +265,10 @@ def main(argv=None) -> int:
         # buffered goes to devnull, so the exit flush raises no second error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except combinat.EnumerationCapError as exc:  # every cap is checked before output
+    except ValueError as exc:  # a cap or a rule that joins two options
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, RecursionError) as exc:
+    except RecursionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # a mathematical check failed

@@ -92,13 +92,13 @@ def _catalan_power(exponent: int, order: int) -> list:
     """Coefficients of C(x)^exponent through x^order, for odd exponent >= 1.
 
     Each power is grown in place and only past what is already cached, so
-    every coefficient is computed once: C itself is the memo of
-    `identities._catalan_rec`, grown by its convolution recurrence
-    C_m = sum C_i C_{m-1-i}, which also makes C_{m+1} the x^m coefficient of
-    C^2, and C^e = C^(e-2) * C^2.
+    every coefficient is computed once: C itself from the values of
+    `identities._catalan_rec`, and C^e = C^(e-2) * C^2, where the x^m
+    coefficient of C^2 is C_{m+1} by the convolution recurrence
+    C_{m+1} = sum C_i C_{m-i}.
     """
-    catalan = _catalan_power_cache.setdefault(1, identities._catalan_memo)
-    identities._catalan_rec(order + (1 if exponent > 1 else 0))
+    catalan = _catalan_power_cache.setdefault(1, [])
+    catalan += map(identities._catalan_rec, range(len(catalan), order + 2))
     for e in range(3, exponent + 1, 2):
         lower = _catalan_power_cache[e - 2]
         cs = _catalan_power_cache.setdefault(e, [1])

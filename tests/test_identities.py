@@ -1060,16 +1060,25 @@ _CAUGHT_BY = {
         "equivalent_b2", "integral_representation", "lemma_f_zero", "main_37", "main_38",
         "main_39", "new_expansion_c1", "parity",
     },
+    # patched in every module, it reaches narayana_poly's and legendre_poly's
+    # coefficients and lagrange_coefficient's rhs
     "binomial": {
-        "alt_sum_310", "app_fibonacci", "app_pell_even", "app_qm1_39", "coker_a1", "coker_b1",
-        "equivalent_b2", "lemma_f_zero", "main_37", "main_38", "main_39", "new_expansion_c1",
-        "simons_aa",
+        "alt_sum_310", "app_fibonacci", "app_lucas", "app_pell_even", "app_pell_odd",
+        "app_qm1_39", "catlan2", "coker_a1", "coker_b1", "equivalent_b2",
+        "integral_representation", "lagrange_coefficient", "lemma_f_zero", "main_37",
+        "main_38", "main_39", "new_expansion_c1", "omega_closed_form",
+        "omega_composition_first", "omega_composition_second", "parity", "simons_aa",
     },
     "catalan": {
         "app_fibonacci", "app_pell_even", "app_pow2", "app_q1_38", "app_qm1_39",
         "app_touchard", "catlan2", "coker_b1", "main_39",
     },
-    "_catalan_rec": {"app_q1_38", "app_qm1_39", "app_touchard", "main_37"},
+    # through series._catalan_power it reaches C(x) too, but not
+    # omega_composition_second, whose C_4 term lands at x^9, past order 8
+    "_catalan_rec": {
+        "app_q1_38", "app_qm1_39", "app_touchard", "lagrange_coefficient", "main_37",
+        "omega_composition_first",
+    },
     "legendre_poly": {"integral_representation", "legendre_reflection"},
     "catalan_half": {"main_38"},
     "pell": {"app_pell_odd"},
@@ -1114,8 +1123,22 @@ class TestMutationAudit:
     def test_catch_set(self, monkeypatch, helper):
         owner, _, name = helper.split("/")[0].rpartition(".")
         target = getattr(exact_core, owner) if owner else identities
-        monkeypatch.setattr(target, name, _MUTANTS[helper](getattr(target, name)))
-        assert _failing_checks() == _CAUGHT_BY[helper]
+        real = getattr(target, name)
+        # binomial is patched in every module that binds it, so the series
+        # and sequences callers run the mutant too
+        binders = (combinat, exact_core, identities, sequences, series)
+        for module in binders if name == "binomial" else (target,):
+            monkeypatch.setattr(module, name, _MUTANTS[helper](real))
+        # no cache may hand a mutant its real values, or keep the mutant's
+        monkeypatch.setattr(series, "_catalan_power_cache", {})
+        caches = (sequences.narayana_poly, sequences.legendre_poly)
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            assert _failing_checks() == _CAUGHT_BY[helper]
+        finally:
+            for cached in caches:
+                cached.cache_clear()
 
     def test_zero_f_poly_is_a_blind_spot(self, monkeypatch, narayana_mutant):
         # lemma_f_zero compares f_poly with zero, so an f_poly that returns zero

@@ -196,11 +196,11 @@ def _cmd_enumerate(args) -> int:
         raise ValueError(f"--k must be in 0..{n}, got {k}")
     # the cap is checked before anything is printed; the family then streams
     if family == "dyck":
-        lines = (p if p else "(empty)" for p in combinat.enumerate_dyck(n))
+        lines = combinat.enumerate_dyck(n)
     else:
         lines = combinat.serialized_family(family, n, range(n + 1) if k is None else (k,))
     for line in lines:
-        print(line)
+        print(line or "(empty)")  # the empty path, at n = 0
     return EXIT_OK
 
 

@@ -51,6 +51,16 @@ def _as_scalar(c) -> Scalar:
     )
 
 
+def _mul_into(out: list, a, b, weight: Scalar = 1) -> None:
+    """Add weight * a[i] * b[j] into out[i + j] for each nonzero a[i]: the one
+    schoolbook product, for QPolynomial.__mul__, horner and _combine."""
+    for i, ca in enumerate(a):
+        if ca:
+            ca *= weight
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+
+
 class QPolynomial:
     """Dense univariate polynomial over the rationals in a named indeterminate.
 
@@ -169,14 +179,8 @@ class QPolynomial:
         if other is NotImplemented:
             return NotImplemented
         var = self._join_var(other)
-        if self.is_zero or other.is_zero:
-            return QPolynomial.zero(var)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        _mul_into(out, self.coeffs, other.coeffs)
         return QPolynomial(out, var)
 
     __rmul__ = __mul__
@@ -280,15 +284,9 @@ def horner(base: QPolynomial, terms: Iterable) -> QPolynomial:
                 f"cannot combine polynomials in {var!r} and {base.var!r}"
             )
         var = var if len(acc) > 1 else base.var
-        if acc and b:
-            prod = [0] * (len(acc) + n_b - 1)
-            for j, cb in enumerate(b):
-                if cb:
-                    for i, ca in enumerate(acc, j):
-                        prod[i] += ca * cb
-            acc = prod
-        else:
-            acc = []
+        prod = [0] * (len(acc) + n_b - 1) if acc and b else []
+        _mul_into(prod, b, acc)
+        acc = prod
         if len(acc) <= 1:
             var = var if a_var is None else a_var
         elif len(cs) > 1 and a_var != var:
@@ -333,11 +331,7 @@ def _combine(terms, divisor: int = 1) -> QPolynomial:
                     f"cannot combine polynomials in {var!r} and {p.var!r}")
             var = p.var if len(p.coeffs) > 1 else var
         acc.extend([0] * (len(f.coeffs) + len(g.coeffs) - 1 - len(acc)))
-        for d, cf in enumerate(f.coeffs):
-            if cf:
-                cf *= weight
-                for e, cg in enumerate(g.coeffs, d):
-                    acc[e] += cf * cg
+        _mul_into(acc, f.coeffs, g.coeffs, weight)
     return QPolynomial([Fraction(c, divisor) for c in acc] if divisor != 1 else acc, var or "q")
 
 

@@ -8,8 +8,9 @@ closed binomial formula on one side and via the convolution recurrence on
 the other) so a shared bug cannot self-certify.  Both sides may use
 `binomial` and the `QPolynomial` ring operations; beyond those the only
 helpers both sides of a check reach, as `TestSideIndependence` pins, are
-- `horner` for `coker_b1`, which sums both sides by Horner's rule;
-- `legendre_poly`, `QPolynomial.substitute` and `horner` for
+- `horner`, and through it `exact_core._mul_into`, for `coker_b1`, which
+  sums both sides by Horner's rule;
+- `legendre_poly`, `QPolynomial.substitute`, `horner` and `_mul_into` for
   `legendre_reflection`, which reflects one Legendre polynomial, as a
   reflection symmetry must.
 

@@ -443,6 +443,15 @@ class TestEnumerate:
         assert code == EXIT_OK
         assert sorted(out.split()) == ["UDUD", "UUDD"]
 
+    @pytest.mark.parametrize("family, line", [
+        ("dyck", "(empty)"), ("D", "(empty)"), ("P", "1(q)"), ("Q", "1(q2)"),
+    ])
+    def test_size_zero_prints_its_one_element(self, capsys, family, line):
+        # the empty path is written "(empty)" for D as for dyck, never as a blank line
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--n", "0")
+        assert code == EXIT_OK
+        assert out == line + "\n"
+
     def test_family_p_with_k(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--family", "P", "--n", "1", "--k", "0"

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 from collections import Counter
 from fractions import Fraction
@@ -102,6 +103,21 @@ class TestFamilyD:
             image = cb.phi(p)
             assert cb.phi(image) == p
             assert cb.path_weight(image) == -cb.path_weight(p)
+
+    def test_stream_size_is_the_closed_count(self):
+        # |D(n, k)| = (2k+1)/(2n+1) binom(2n+1, n-k) C_k 2^(n-k), from math.comb
+        # alone: the Lagrange coefficient times the C_k base paths times the
+        # sign choices
+        totals = Counter()
+        for n in range(8):
+            for k in range(n + 1):
+                c_k = math.comb(2 * k, k) // (k + 1)
+                count = Fraction((2 * k + 1) * math.comb(2 * n + 1, n - k), 2 * n + 1)
+                count *= c_k * 2 ** (n - k)
+                size = sum(1 for _ in cb._iter_flat_family_D(n, k))
+                assert size == count, (n, k)
+                totals[n] += size
+        assert totals[5] == 4978 and totals[7] == 281373
 
     def test_flat_enumeration_is_flatten_in_order(self):
         for n in range(7):

@@ -982,7 +982,7 @@ class TestIntegerFirstSums:
 
 
 # -- mutation audit: one helper of the identities module, or one exact_core
-#    primitive on its class, patched at a time --------------------------------
+#    primitive on its class or module, patched at a time ----------------------
 
 _AUDIT_MAX_N = 8
 
@@ -1021,6 +1021,55 @@ def _without_d2(real, den, numerator=None):
     return real(exact_core.PolySeries(cs, den.order), numerator)
 
 
+def _without_term(real, out, a, b, weight=1, *, at):
+    """The one schoolbook product without its a[i] * b[j] term, (i, j) = at(a, b),
+    in a product of two non-constants only: a product of constants keeps its one
+    term, or a division by a constant would meet a zero and raise."""
+    real(out, a, b, weight)
+    if len(a) > 1 and len(b) > 1:
+        i, j = at(a, b)
+        out[i + j] -= weight * a[i] * b[j]
+
+
+def _add_without_last(real, p, other):
+    """QPolynomial.__add__ as if it dropped the shorter operand's last coefficient
+    (the second's, at equal lengths) when that operand is not a constant: a
+    dropped constant makes omega_closed_form's shift_down raise, not fail."""
+    other = QPolynomial._coerce(other, p.var)
+    if other is NotImplemented:
+        return NotImplemented
+    long, short = (other, p) if len(p.coeffs) < len(other.coeffs) else (p, other)
+    if len(short.coeffs) > 1:
+        short = QPolynomial(short.coeffs[:-1], short.var)
+    return real(long, short)
+
+
+def _power_weight_off(series_, alpha):
+    """PolySeries._power with the weight of its i = 1 term at n = 1 one more than
+    J.C.P. Miller's recurrence gives: the body of _power with that one change."""
+    a, b = alpha.numerator, alpha.denominator
+    terms = [(i, f) for i, f in enumerate(series_.coeffs) if i and not f.is_zero]
+    out = [QPolynomial.one()]
+    for n in range(1, series_.order + 1):
+        weighted = [
+            ((a + b) * i - b * n + (i == n == 1), f, out[n - i])
+            for i, f in terms
+            if i <= n and (a + b) * i != b * n
+        ]
+        out.append(exact_core._combine(weighted, b * n))
+    return exact_core.PolySeries(out, series_.order)
+
+
+def _late_compose(real, outer, inner, den=None):
+    """compose as if Horner's rule started one coefficient late, at c_(N-1) for
+    N = order // v: the same as composing with the innermost c_N set to 0."""
+    n = outer.order
+    v = next((i for i, c in enumerate(inner.coeffs) if not c.is_zero), n + 1)
+    cs = list(outer.coeffs)
+    cs[n // v] = QPolynomial.zero()
+    return real(exact_core.PolySeries(cs, n), inner, den)
+
+
 # helper -> mutant factory (given the real helper): one entry off by one each,
 # and horner's two summing the terms in reverse order or skipping the division
 _MUTANTS = {
@@ -1049,6 +1098,16 @@ _MUTANTS = {
     "PolySeries.__mul__/dropped": lambda real: lambda a, b: _dropped_cross_term(real, a, b),
     "PolySeries.reciprocal/without_d2": lambda real: lambda den, numerator=None: _without_d2(
         real, den, numerator),
+    "PolySeries._power/weight_off": lambda real: _power_weight_off,
+    "PolySeries.compose/late": lambda real: lambda outer, inner, den=None: _late_compose(
+        real, outer, inner, den),
+    "QPolynomial.__add__/without_last": lambda real: lambda p, other: _add_without_last(
+        real, p, other),
+    # exact_core's one schoolbook product, which QPolynomial.__mul__, horner and
+    # every series product reach
+    "_mul_into/cross": lambda real: partial(_without_term, real, at=lambda a, b: (1, 1)),
+    "_mul_into/leading": lambda real: partial(
+        _without_term, real, at=lambda a, b: (len(a) - 1, len(b) - 1)),
 }
 
 # helper -> the checks that fail for some n <= 8 under its mutant; up to
@@ -1103,6 +1162,30 @@ _CAUGHT_BY = {
     # the compositions divide by d^2 and e^2; the other series checks divide by
     # nothing
     "PolySeries.reciprocal/without_d2": {"omega_composition_first", "omega_composition_second"},
+    # the Legendre radicand's inverse square root and the closed form's sqrt
+    "PolySeries._power/weight_off": {"legendre_gf", "omega_closed_form"},
+    # not omega_composition_second: the dropped C_4 term lands at x^8 of the
+    # composition, which is then multiplied by x, past order 8
+    "PolySeries.compose/late": {"omega_composition_first"},
+    # every other polynomial sum runs in horner's own list or in _combine's
+    "QPolynomial.__add__/without_last": {"omega_closed_form"},
+    # not the scalar sums (alt_sum_310, app_*, parity, lagrange_coefficient), which
+    # multiply no two non-constants; not main_39, whose running sum starts at q^2,
+    # so that its q^1 coefficient is 0; not legendre_reflection (see
+    # test_legendre_reflection_is_blind_to_products)
+    "_mul_into/cross": {
+        "catlan2", "coker_a1", "coker_b1", "equivalent_b2", "integral_representation",
+        "legendre_gf", "lemma_f_zero", "main_37", "main_38", "new_expansion_c1",
+        "omega_closed_form", "omega_composition_first", "omega_composition_second",
+        "simons_aa",
+    },
+    # cross's set and main_39
+    "_mul_into/leading": {
+        "catlan2", "coker_a1", "coker_b1", "equivalent_b2", "integral_representation",
+        "legendre_gf", "lemma_f_zero", "main_37", "main_38", "main_39", "new_expansion_c1",
+        "omega_closed_form", "omega_composition_first", "omega_composition_second",
+        "simons_aa",
+    },
 }
 
 
@@ -1122,7 +1205,9 @@ class TestMutationAudit:
     @pytest.mark.parametrize("helper", sorted(_MUTANTS))
     def test_catch_set(self, monkeypatch, helper):
         owner, _, name = helper.split("/")[0].rpartition(".")
-        target = getattr(exact_core, owner) if owner else identities
+        # a bare name is an identities helper, or else an exact_core function
+        target = (getattr(exact_core, owner) if owner
+                  else identities if hasattr(identities, name) else exact_core)
         real = getattr(target, name)
         # binomial is patched in every module that binds it, so the series
         # and sequences callers run the mutant too
@@ -1150,6 +1235,25 @@ class TestMutationAudit:
             assert check_identity("lemma_f_zero", n).equal, n
             assert not lemma_difference_argument(n), n
 
+    def test_legendre_reflection_is_blind_to_products(self, monkeypatch):
+        # both sides substitute -1 - 2x and 1 + 2x into P_n through horner, and
+        # P_n's coefficients vanish at every other degree, so a product linear in
+        # each factor keeps (-1)^n P_n(-1 - 2x) = P_n(1 + 2x) however wrong it is;
+        # integral_representation's shifted Legendre sums still fail
+        monkeypatch.setattr(exact_core, "_mul_into", _MUTANTS["_mul_into/cross"](
+            exact_core._mul_into))
+        caches = (narayana_poly, legendre_poly)
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            for n in range(identity_min_n("legendre_reflection"), _AUDIT_MAX_N + 1):
+                assert check_identity("legendre_reflection", n).equal, n
+            assert not all(integral_representation_check(n).equal
+                           for n in range(1, _AUDIT_MAX_N + 1))
+        finally:
+            for cached in caches:
+                cached.cache_clear()
+
 
 # -- the two sides of each check, run apart ----------------------------------------
 
@@ -1164,8 +1268,8 @@ _RING = {"binomial", "_as_scalar"} | {f"QPolynomial.{name}" for name in (
 # tag -> the narayana functions past _RING that both of its sides reach; the
 # overlaps the identities docstring lists, and none for every other tag
 _SHARED = {
-    "coker_b1": {"horner"},
-    "legendre_reflection": {"horner", "QPolynomial.substitute", "legendre_poly"},
+    "coker_b1": {"horner", "_mul_into"},
+    "legendre_reflection": {"horner", "_mul_into", "QPolynomial.substitute", "legendre_poly"},
 }
 
 

@@ -34,12 +34,12 @@ from __future__ import annotations
 import os
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, combinations, product, repeat
 from math import prod
 
 from . import identities, series
-from .exact_core import QPolynomial, binomial
+from .exact_core import QPolynomial, binomial, cached
 
 DYCK_CAP = 12
 FAMILY_D_CAP = 8
@@ -78,7 +78,7 @@ def _check_cap(n: int, default: int, what: str):
 # -- Dyck paths ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached
 def _dyck_paths(n: int) -> tuple[str, ...]:
     if n == 0:
         return ("",)
@@ -253,7 +253,7 @@ def _is_unweighted(p: WeightedDyckPath) -> bool:
     return not any(p.tags)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _components(steps: str) -> tuple[tuple[int, ...], ...]:
     """For each up-step of a Dyck word, the up-steps whose arches enclose it,
     outermost first and itself last; indices count up-steps from the start."""
@@ -294,7 +294,7 @@ def dbar_elements(n: int) -> list:
 # -- plane trees -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached
 def _children_seqs(total: int) -> tuple[tuple[int, ...], ...]:
     """All ordered forests with the given vertex total, each as the
     out-degrees of its vertices in pre-order, tree by tree."""
@@ -308,7 +308,7 @@ def _children_seqs(total: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def _tree_shapes(vertices: int) -> tuple[tuple[int, ...], ...]:
     """All plane tree shapes with the given vertex count, each as its
     out-degrees in pre-order: the root's, then its forest of children's (a
@@ -318,7 +318,7 @@ def _tree_shapes(vertices: int) -> tuple[tuple[int, ...], ...]:
     return tuple((vertices - 1 - sum(f),) + f for f in _children_seqs(vertices - 1))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _shape_tally(vertices: int) -> tuple[tuple[tuple[int, int], int], ...]:
     """How many shapes with the given vertex count have each (non-root unary
     count, leaf count)."""
@@ -433,7 +433,7 @@ def serialize_tree(t) -> str:
     return _serialize_word(_word(t))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _shape_words(vertices: int, leaf: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Each shape of `_tree_shapes(vertices)` as its unmarked word, leaves
     tagged `leaf` and the other vertices "1", with its non-root unary
@@ -501,7 +501,7 @@ family_Q_closed_form = partial(identities.expansion_term, "Q")
 # -- fixed sets -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached
 def _complete_binary_shapes(vertices: int) -> tuple[tuple[int, ...], ...]:
     """All complete binary tree shapes with the given vertex count, each as
     its out-degrees in pre-order: 2, the left subtree's, the right's."""

@@ -12,8 +12,28 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import lru_cache
 
 Scalar = int | Fraction
+
+_CACHES: list = []  # every process-wide memo, registered where it is defined
+
+
+def memo(cache):
+    """Register a dict, list or lru_cache wrapper for clear_caches; return it."""
+    _CACHES.append(cache)
+    return cache
+
+
+def cached(fn):
+    """fn behind an unbounded, registered lru_cache."""
+    return memo(lru_cache(maxsize=None)(fn))
+
+
+def clear_caches() -> None:
+    """Empty every registered memo, leaving the caches of a fresh process."""
+    for cache in _CACHES:
+        (getattr(cache, "cache_clear", None) or cache.clear)()
 
 
 class IndeterminateMismatchError(ValueError):

@@ -44,7 +44,7 @@ from itertools import repeat, zip_longest
 from math import comb
 from operator import index, mul
 
-from .exact_core import IndeterminateMismatchError, QPolynomial, binomial, horner
+from .exact_core import IndeterminateMismatchError, QPolynomial, binomial, horner, memo
 from .sequences import (
     catalan,
     catalan_half,
@@ -74,7 +74,7 @@ def _result(identity: str, n: int, lhs, rhs) -> CheckResult:
     return CheckResult(identity, n, lhs, rhs, lhs == rhs)
 
 
-_catalan_memo = [1]
+_catalan_memo: list = memo([])
 
 
 def _catalan_rec(n: int) -> int:
@@ -82,7 +82,7 @@ def _catalan_rec(n: int) -> int:
     while len(_catalan_memo) <= n:
         m = len(_catalan_memo)
         _catalan_memo.append(
-            sum(_catalan_memo[i] * _catalan_memo[m - 1 - i] for i in range(m))
+            sum(_catalan_memo[i] * _catalan_memo[m - 1 - i] for i in range(m)) if m else 1
         )
     return _catalan_memo[n]
 
@@ -370,7 +370,7 @@ _ROWS = {
         list(map(comb, repeat(n + p), range(p, p + s * (n // s) + 1, s))), 1),
     "left": lambda n, s, p: (_alternate(map(comb, repeat(s * n + p), range(p, s * n + p + 1))), 1),
 }
-_rows_memo: dict = {}
+_rows_memo: dict = memo({})
 
 
 def _rows(count: int, *key) -> list:

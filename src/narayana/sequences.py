@@ -4,9 +4,8 @@ Pell/Fibonacci/Lucas under their recurrence initial conditions."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .exact_core import QPolynomial, binomial, horner
+from .exact_core import QPolynomial, binomial, cached, horner, memo
 
 # Recurrence initial values, indexed from -1.  Note the Fibonacci convention
 # here starts F_{-1} = 0, F_0 = 1, giving F_1 = 1, F_2 = 2 -- shifted by one
@@ -17,7 +16,7 @@ _RECURRENCES = {
     "fibonacci": (0, 1, 1),
 }
 # name -> [G_{-1}, G_0, G_1, ...], grown in place on demand, never rebuilt
-_recurrence_values: dict = {}
+_recurrence_values: dict = memo({})
 
 
 def catalan(n: int) -> int:
@@ -45,7 +44,7 @@ def narayana_number(n: int, k: int) -> int:
     return binomial(n, k - 1) * binomial(n, k) // n
 
 
-@lru_cache(maxsize=None)
+@cached
 def narayana_poly(n: int) -> QPolynomial:
     """The Narayana polynomial in q: sum_k N_{n,k} q^k (1 for n = 0)."""
     if n < 0:
@@ -61,7 +60,7 @@ def assoc_narayana_poly(n: int) -> QPolynomial:
     return QPolynomial(p.coeffs[1:], "q")
 
 
-@lru_cache(maxsize=None)
+@cached
 def legendre_poly(n: int, form: str = "standard") -> QPolynomial:
     """Legendre polynomial, exact over the rationals.
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import identities
-from .exact_core import PolySeries, QPolynomial, binomial
+from .exact_core import PolySeries, QPolynomial, binomial, memo
 from .identities import CheckResult, _result
 from .sequences import legendre_poly, narayana_poly
 
@@ -85,7 +85,7 @@ def omega_composition_check(variant: str, order: int) -> CheckResult:
 
 
 # odd exponent e -> [x^0], [x^1], ... of C(x)^e as ints, grown on demand
-_catalan_power_cache: dict = {}
+_catalan_power_cache: dict = memo({})
 
 
 def _catalan_power(exponent: int, order: int) -> list:

@@ -255,17 +255,17 @@ class TestVerify:
 
 @pytest.fixture
 def wrong_narayana_poly(monkeypatch):
-    """N_3(q) gets one more q^2 (3 -> 4) everywhere, behind a cleared
-    narayana_poly cache; the real one and a clean cache come back after."""
+    """N_3(q) gets one more q^2 (3 -> 4) everywhere, behind cleared caches;
+    the real one and clean caches come back after."""
     real = sequences.narayana_number
     monkeypatch.setattr(
         sequences, "narayana_number",
         lambda n, k: real(n, k) + (n == 3 and k == 2),
     )
-    sequences.narayana_poly.cache_clear()
+    exact_core.clear_caches()
     yield
     monkeypatch.undo()
-    sequences.narayana_poly.cache_clear()
+    exact_core.clear_caches()
 
 
 class TestMismatchLocation:

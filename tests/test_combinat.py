@@ -10,6 +10,7 @@ from math import prod
 import pytest
 
 from narayana import combinat as cb
+from narayana import exact_core
 from narayana.exact_core import QPolynomial, binomial
 from narayana.sequences import catalan, catalan_half, narayana_poly
 
@@ -161,7 +162,7 @@ class TestFamilyD:
 
     def test_components_cached_once_per_word(self):
         # at most one entry per Dyck word of semilength <= 6: C_0 + ... + C_6
-        cb._components.cache_clear()
+        exact_core.clear_caches()
         assert cb.involution_verify("D", 6).certified
         assert 0 < cb._components.cache_info().currsize <= sum(map(catalan, range(7))) == 197
 

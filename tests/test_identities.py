@@ -172,9 +172,18 @@ class TestLemma:
 
 
 @pytest.fixture
+def fresh_caches():
+    """Every memo empty for the test and after it, so that no cache hands a
+    mutant its real values or keeps the mutant's."""
+    exact_core.clear_caches()
+    yield
+    exact_core.clear_caches()
+
+
+@pytest.fixture
 def narayana_mutant(monkeypatch):
-    """Install a mutant of narayana_number at one index behind a cleared
-    narayana_poly cache; the real one and a clean cache come back after."""
+    """Install a mutant of narayana_number at one index behind cleared caches;
+    the real one and clean caches come back after."""
 
     def install(index, mutant):
         real = sequences.narayana_number
@@ -182,11 +191,11 @@ def narayana_mutant(monkeypatch):
             sequences, "narayana_number",
             lambda n, k: mutant(real, n, k) if n == index else real(n, k),
         )
-        sequences.narayana_poly.cache_clear()
+        exact_core.clear_caches()
 
     yield install
     monkeypatch.undo()
-    sequences.narayana_poly.cache_clear()
+    exact_core.clear_caches()
 
 
 class TestLemmaIndependence:
@@ -480,10 +489,10 @@ class TestInverseKernel:
         assert _bench_size_misses(bench_size_cases) == 0
 
     @pytest.mark.parametrize("mutant", sorted(_KERNEL_MUTANTS))
-    def test_bench_size_check_catches_mutant(self, monkeypatch, bench_size_cases, mutant):
+    def test_bench_size_check_catches_mutant(
+        self, monkeypatch, bench_size_cases, fresh_caches, mutant
+    ):
         attr, make = _KERNEL_MUTANTS[mutant]
-        # each mutant builds its own rows, and the undo throws them away
-        monkeypatch.setattr(identities, "_rows_memo", {})
         monkeypatch.setattr(identities, attr, make(getattr(identities, attr)))
         assert _bench_size_misses(bench_size_cases) > 0
 
@@ -1031,15 +1040,15 @@ def _without_term(real, out, a, b, weight=1, *, at):
         out[i + j] -= weight * a[i] * b[j]
 
 
-def _add_without_last(real, p, other):
+def _add_without_last(real, p, other, constants=False):
     """QPolynomial.__add__ as if it dropped the shorter operand's last coefficient
-    (the second's, at equal lengths) when that operand is not a constant: a
-    dropped constant makes omega_closed_form's shift_down raise, not fail."""
+    (the second's, at equal lengths) when that operand is not a constant, or
+    with `constants` a constant operand too."""
     other = QPolynomial._coerce(other, p.var)
     if other is NotImplemented:
         return NotImplemented
     long, short = (other, p) if len(p.coeffs) < len(other.coeffs) else (p, other)
-    if len(short.coeffs) > 1:
+    if constants or len(short.coeffs) > 1:
         short = QPolynomial(short.coeffs[:-1], short.var)
     return real(long, short)
 
@@ -1103,6 +1112,8 @@ _MUTANTS = {
         real, outer, inner, den),
     "QPolynomial.__add__/without_last": lambda real: lambda p, other: _add_without_last(
         real, p, other),
+    "QPolynomial.__add__/drops_constant": lambda real: lambda p, other: _add_without_last(
+        real, p, other, constants=True),
     # exact_core's one schoolbook product, which QPolynomial.__mul__, horner and
     # every series product reach
     "_mul_into/cross": lambda real: partial(_without_term, real, at=lambda a, b: (1, 1)),
@@ -1132,11 +1143,11 @@ _CAUGHT_BY = {
         "app_fibonacci", "app_pell_even", "app_pow2", "app_q1_38", "app_qm1_39",
         "app_touchard", "catlan2", "coker_b1", "main_39",
     },
-    # through series._catalan_power it reaches C(x) too, but not
-    # omega_composition_second, whose C_4 term lands at x^9, past order 8
+    # through series._catalan_power it reaches C(x) too; omega_composition_second
+    # sees its C_4 term at x^9 only, at order 9
     "_catalan_rec": {
         "app_q1_38", "app_qm1_39", "app_touchard", "lagrange_coefficient", "main_37",
-        "omega_composition_first",
+        "omega_composition_first", "omega_composition_second",
     },
     "legendre_poly": {"integral_representation", "legendre_reflection"},
     "catalan_half": {"main_38"},
@@ -1164,11 +1175,13 @@ _CAUGHT_BY = {
     "PolySeries.reciprocal/without_d2": {"omega_composition_first", "omega_composition_second"},
     # the Legendre radicand's inverse square root and the closed form's sqrt
     "PolySeries._power/weight_off": {"legendre_gf", "omega_closed_form"},
-    # not omega_composition_second: the dropped C_4 term lands at x^8 of the
-    # composition, which is then multiplied by x, past order 8
-    "PolySeries.compose/late": {"omega_composition_first"},
+    # omega_composition_second at order 9 only: at order 8 the dropped C_4 term
+    # lands at x^8 of the composition, which is then multiplied by x
+    "PolySeries.compose/late": {"omega_composition_first", "omega_composition_second"},
     # every other polynomial sum runs in horner's own list or in _combine's
     "QPolynomial.__add__/without_last": {"omega_closed_form"},
+    # a dropped constant leaves shift_down a series with a nonzero constant term
+    "QPolynomial.__add__/drops_constant": {"omega_closed_form (raised)"},
     # not the scalar sums (alt_sum_310, app_*, parity, lagrange_coefficient), which
     # multiply no two non-constants; not main_39, whose running sum starts at q^2,
     # so that its q^1 coefficient is 0; not legendre_reflection (see
@@ -1191,11 +1204,20 @@ _CAUGHT_BY = {
 
 def _failing_checks() -> set:
     """The checks `verify` runs, read from cli._CHECKS, that fail for some
-    admissible n (or order, or 0 <= k <= n) <= _AUDIT_MAX_N."""
-    return {
-        name for name, (_, results) in _CHECKS.items()
-        if not all(r.equal for r in results(_AUDIT_MAX_N))
-    }
+    admissible n (or order, or 0 <= k <= n) <= _AUDIT_MAX_N.  A series check
+    run at its order alone (cli._at_max_n) runs at _AUDIT_MAX_N + 1 too, as
+    some mutants show at odd orders only.  A check that raises an
+    ArithmeticError or ValueError counts too, as "<check> (raised)"."""
+    failing = set()
+    for name, (_, results) in _CHECKS.items():
+        at_order = results.__qualname__.startswith("_at_max_n.")
+        orders = range(_AUDIT_MAX_N, _AUDIT_MAX_N + 1 + at_order)
+        try:
+            if not all(r.equal for max_n in orders for r in results(max_n)):
+                failing.add(name)
+        except (ArithmeticError, ValueError):
+            failing.add(f"{name} (raised)")
+    return failing
 
 
 class TestMutationAudit:
@@ -1203,7 +1225,7 @@ class TestMutationAudit:
         assert _failing_checks() == set()
 
     @pytest.mark.parametrize("helper", sorted(_MUTANTS))
-    def test_catch_set(self, monkeypatch, helper):
+    def test_catch_set(self, monkeypatch, fresh_caches, helper):
         owner, _, name = helper.split("/")[0].rpartition(".")
         # a bare name is an identities helper, or else an exact_core function
         target = (getattr(exact_core, owner) if owner
@@ -1214,16 +1236,7 @@ class TestMutationAudit:
         binders = (combinat, exact_core, identities, sequences, series)
         for module in binders if name == "binomial" else (target,):
             monkeypatch.setattr(module, name, _MUTANTS[helper](real))
-        # no cache may hand a mutant its real values, or keep the mutant's
-        monkeypatch.setattr(series, "_catalan_power_cache", {})
-        caches = (sequences.narayana_poly, sequences.legendre_poly)
-        for cached in caches:
-            cached.cache_clear()
-        try:
-            assert _failing_checks() == _CAUGHT_BY[helper]
-        finally:
-            for cached in caches:
-                cached.cache_clear()
+        assert _failing_checks() == _CAUGHT_BY[helper]
 
     def test_zero_f_poly_is_a_blind_spot(self, monkeypatch, narayana_mutant):
         # lemma_f_zero compares f_poly with zero, so an f_poly that returns zero
@@ -1235,24 +1248,17 @@ class TestMutationAudit:
             assert check_identity("lemma_f_zero", n).equal, n
             assert not lemma_difference_argument(n), n
 
-    def test_legendre_reflection_is_blind_to_products(self, monkeypatch):
+    def test_legendre_reflection_is_blind_to_products(self, monkeypatch, fresh_caches):
         # both sides substitute -1 - 2x and 1 + 2x into P_n through horner, and
         # P_n's coefficients vanish at every other degree, so a product linear in
         # each factor keeps (-1)^n P_n(-1 - 2x) = P_n(1 + 2x) however wrong it is;
         # integral_representation's shifted Legendre sums still fail
         monkeypatch.setattr(exact_core, "_mul_into", _MUTANTS["_mul_into/cross"](
             exact_core._mul_into))
-        caches = (narayana_poly, legendre_poly)
-        for cached in caches:
-            cached.cache_clear()
-        try:
-            for n in range(identity_min_n("legendre_reflection"), _AUDIT_MAX_N + 1):
-                assert check_identity("legendre_reflection", n).equal, n
-            assert not all(integral_representation_check(n).equal
-                           for n in range(1, _AUDIT_MAX_N + 1))
-        finally:
-            for cached in caches:
-                cached.cache_clear()
+        for n in range(identity_min_n("legendre_reflection"), _AUDIT_MAX_N + 1):
+            assert check_identity("legendre_reflection", n).equal, n
+        assert not all(integral_representation_check(n).equal
+                       for n in range(1, _AUDIT_MAX_N + 1))
 
 
 # -- the two sides of each check, run apart ----------------------------------------
@@ -1288,13 +1294,9 @@ def _qualnames() -> dict:
 
 
 def _reached(side, n: int, names: dict) -> set:
-    """The narayana functions that side(n) enters.  The sequence and the
-    enumeration caches are cleared first, as a cache hit enters no frame."""
-    for cached in (
-        sequences.narayana_poly, sequences.legendre_poly, combinat._dyck_paths,
-        combinat._tree_shapes, combinat._children_seqs, combinat._shape_tally,
-    ):
-        cached.cache_clear()
+    """The narayana functions that side(n) enters.  Every memo is cleared
+    first, as a cache hit enters no frame."""
+    exact_core.clear_caches()
     entered = set()
 
     def profile(frame, event, arg):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narayana import exact_core, sequences, series
+from narayana import exact_core, series
 from narayana.cli import _CHECKS
 from narayana.exact_core import PolySeries, QPolynomial
 from narayana.sequences import catalan, narayana_poly
@@ -148,9 +148,7 @@ class TestSeriesCost:
         # by QPolynomial.__mul__.  From cold caches these checks gave it 8,528
         # (weight, f, g) terms at order 30 before the compositions divided by
         # sparse series, and 3,071 after; allow at most half of the former.
-        monkeypatch.setattr(series, "_catalan_power_cache", {})
-        sequences.narayana_poly.cache_clear()
-        sequences.legendre_poly.cache_clear()
+        exact_core.clear_caches()
         terms = [0]
         real = exact_core._combine
 

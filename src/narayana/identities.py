@@ -32,6 +32,13 @@ Sums that recur have one body each:
   (3.8) at q = 1 (m = 2n, b = 2) and (3.9) at q = -1 (m = n, b = 4);
 - `_app_recurrence` = sum_k (-1)^k binom(m, k) N_{k+1}(x0) G_j [2^j] is the
   rhs of the four Pell/Lucas/Fibonacci applications, one registry row each.
+
+Three memos, each registered with `exact_core.cached`, build the sums'
+n-independent pieces once per process: `expansion(family, n)`, whose values
+are the other sides' C_n, C_{m/2} q^{m/2+1}, zero and C_{n+1} q^{n+2}, so a
+sweep sums each (3.8) sum once for main_38, catlan2 and f_poly;
+`_at_q_squared(k)` = N_k(q^2) for (3.9); and `_narayana_at(k, point)` = N_k at
+2 or 5 for `_app_recurrence`.  Each serves one side of its checks.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from itertools import repeat, zip_longest
 from math import comb
 from operator import index, mul
 
-from .exact_core import IndeterminateMismatchError, QPolynomial, binomial, horner, memo
+from .exact_core import IndeterminateMismatchError, QPolynomial, binomial, cached, horner, memo
 from .sequences import (
     catalan,
     catalan_half,
@@ -104,26 +111,27 @@ def _coker_a1_rhs(n: int) -> QPolynomial:
     return rhs * _ONE_PLUS_Q if (n - 1) % 2 else rhs
 
 
-def _at_q_squared(p: QPolynomial) -> QPolynomial:
-    """p(q^2), by spreading p's coefficients over the even degrees."""
-    return QPolynomial([c for a in p.coeffs for c in (a, 0)], p.var)
+@cached
+def _at_q_squared(k: int) -> QPolynomial:
+    """N_k(q^2), by spreading N_k's coefficients over the even degrees."""
+    return QPolynomial([c for a in narayana_poly(k).coeffs for c in (a, 0)], "q")
 
 
 # The paper's expansions (3.7), (3.8) and (3.9): family -> (B, a(n, k)), the
 # sum being sum_{k=0}^{n} a(n, k) B^(n-k) with a(n, k) a (scale, polynomial)
-# pair that horner multiplies out.  The lambdas look binomial and
-# narayana_poly up when called, so a replaced module attribute is what runs.
+# pair that horner multiplies out.  The lambdas, and the memos `expansion` and
+# `_at_q_squared`, look binomial and narayana_poly up when called, so a
+# replaced module attribute is what runs once `clear_caches()` has emptied them.
 _EXPANSIONS = {
     "D": (_ONE_MINUS_Q, lambda n, k: (
         Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1), narayana_poly(k)
     )),
     "P": (_MINUS_ONE_MINUS_Q, lambda n, k: (binomial(n, k), narayana_poly(k + 1))),
-    "Q": (_MINUS_ONE_MINUS_Q_SQUARED, lambda n, k: (
-        binomial(n, k), _at_q_squared(narayana_poly(k + 1))
-    )),
+    "Q": (_MINUS_ONE_MINUS_Q_SQUARED, lambda n, k: (binomial(n, k), _at_q_squared(k + 1))),
 }
 
 
+@cached
 def expansion(family: str, n: int) -> QPolynomial:
     """The right-hand side of family D's, P's or Q's expansion at n, summed by
     Horner's rule in its B."""
@@ -160,6 +168,12 @@ def _alternating_catalan(m: int, b: int) -> Fraction:
     ))
 
 
+@cached
+def _narayana_at(k: int, point: int) -> int:
+    """N_k(point), one value per (k, point) for the four applications' sums."""
+    return narayana_poly(k)(point)
+
+
 def _app_recurrence(n: int, point: int, seq, shift: int, powers_of_two: bool) -> Fraction:
     """sum_{k=0}^{m} (-1)^k binom(m, k) N_{k+1}(point) G_j [2^j], the rhs of
     point^{n+1} C_{m+1}, with m = 2n + (shift > 0), j = 4n - 2k + shift and
@@ -169,7 +183,7 @@ def _app_recurrence(n: int, point: int, seq, shift: int, powers_of_two: bool) ->
     total = 0
     for k in range(m + 1):
         j = 4 * n - 2 * k + shift
-        term = binomial(m, k) * narayana_poly(k + 1)(point) * seq(j)
+        term = binomial(m, k) * _narayana_at(k + 1, point) * seq(j)
         total += (-1) ** k * (term << (j + 1) if powers_of_two else term)
     return Fraction(total, 2 if powers_of_two else 1)
 

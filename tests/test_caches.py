@@ -14,7 +14,7 @@ from narayana import cli, exact_core
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# The hand-grown memos; the other nine are `exact_core.cached` functions.
+# The hand-grown memos; the other twelve are `exact_core.cached` functions.
 HAND_GROWN = {
     "narayana.identities._catalan_memo", "narayana.identities._rows_memo",
     "narayana.series._catalan_power_cache", "narayana.sequences._recurrence_values",
@@ -92,10 +92,10 @@ class TestCacheRegistry:
 
     def test_clear_empties_every_registered_cache(self):
         assert cli.main(["verify", "--identity", "all", "--max-n", "6"]) == 0
-        assert len(exact_core._CACHES) == 13
+        assert len(exact_core._CACHES) == 16
         assert any(map(_cache_size, exact_core._CACHES))
         exact_core.clear_caches()
-        assert list(map(_cache_size, exact_core._CACHES)) == [0] * 13
+        assert list(map(_cache_size, exact_core._CACHES)) == [0] * 16
 
 
 _COMMANDS = (

@@ -3,7 +3,7 @@ import math
 import os
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import prod
 
@@ -1214,3 +1214,71 @@ class TestAgainstSeparateBodies:
             for k in range(-1, n + 2):
                 got, want = weight(n, k), reference(n, k)
                 assert _identical(got, want), (family, n, k, got, want)
+
+
+# -- _weight_sum mutants: the tally convolution feeds criterion 5's weight-sum
+#    side only, so its catch sets are read from this file's weight tests ------
+
+
+def _first_offset_dropped(real, m, mark_weights, classes):
+    """_weight_sum as if its first class (offset, count) lost its offset."""
+    classes = list(classes)
+    return real(m, mark_weights, [(0, classes[0][1])] + classes[1:] if classes else [])
+
+
+def _last_mark_product_dropped(real, m, mark_weights, classes):
+    """_weight_sum as if its tally missed the last m-fold mark product, every
+    mark the last weight c q^e, when m >= 1: c^m q^(e m) less per element."""
+    classes = list(classes)
+    total = real(m, mark_weights, classes)
+    if m:
+        c, e = mark_weights[-1]
+        for offset, count in classes:
+            total = total - QPolynomial.monomial(count * c**m, offset + e * m, "q")
+    return total
+
+
+_WEIGHT_SUM_MUTANTS = {
+    "first_offset_dropped": _first_offset_dropped,
+    "last_mark_product_dropped": _last_mark_product_dropped,
+}
+
+# the tests above that read a family's weight sum, as Class.test, or
+# Class.test[family] for a test that takes its family
+_WEIGHT_TESTS = (
+    "TestFamilyD.test_weights_match_closed_form", "TestFamilyD.test_weight_sum_is_catalan",
+    "TestFamilyP.test_weight_sums_match_closed_form", "TestFamilyQ.test_n1_k0_weight",
+    "TestFamilyQ.test_weight_sums_match_closed_form", "TestFamilyQ.test_total_weight_law",
+    *(f"TestAgainstSeparateBodies.test_weight_sum_matches_per_element_loops[{family}]"
+      for family in sorted(_REFERENCE_FAMILIES)),
+)
+
+# mutant -> the weight tests that fail under it, read from a real run
+_WEIGHT_SUM_CAUGHT_BY = {
+    # Q(1, 0)'s first class, the shape with no unary vertex to mark, counts 0
+    "first_offset_dropped": set(_WEIGHT_TESTS) - {"TestFamilyQ.test_n1_k0_weight"},
+    "last_mark_product_dropped": set(_WEIGHT_TESTS),
+}
+
+
+def _failing_weight_tests() -> set:
+    """The names in _WEIGHT_TESTS whose test fails when run."""
+    failing = set()
+    for name in _WEIGHT_TESTS:
+        cls, test, *family = name.rstrip("]").replace("[", ".").split(".")
+        try:
+            getattr(globals()[cls](), test)(*family)
+        except AssertionError:
+            failing.add(name)
+    return failing
+
+
+class TestWeightSumMutants:
+    def test_unmutated_weight_tests_pass(self):
+        assert _failing_weight_tests() == set()
+
+    @pytest.mark.parametrize("mutant", sorted(_WEIGHT_SUM_MUTANTS))
+    def test_catch_set(self, monkeypatch, mutant):
+        real = cb._weight_sum
+        monkeypatch.setattr(cb, "_weight_sum", partial(_WEIGHT_SUM_MUTANTS[mutant], real))
+        assert _failing_weight_tests() == _WEIGHT_SUM_CAUGHT_BY[mutant]

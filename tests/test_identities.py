@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import random
 import sys
 import threading
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narayana import combinat, exact_core, identities, sequences, series
+from narayana import cli, combinat, exact_core, identities, sequences, series
 from narayana.cli import _CHECKS
 from narayana.exact_core import IndeterminateMismatchError, QPolynomial, binomial
 from narayana.identities import (
@@ -844,6 +846,7 @@ class TestHornerSums:
         for tag in IDENTITY_TAGS:
             for n in range(identity_min_n(tag), top + 1):
                 check_identity(tag, n)
+        identities.expansion.cache_clear()  # but sum each expansion again
         calls = Counter()
         real = QPolynomial.__pow__
 
@@ -943,6 +946,7 @@ class TestIntegerFirstSums:
         tags = ("main_37", "main_38", "main_39")
         for tag in tags:  # fill the narayana_poly cache the expansions read
             check_identity(tag, 9)
+        identities.expansion.cache_clear()  # but sum each expansion again
         calls = Counter()
         real = QPolynomial.__mul__
 
@@ -988,6 +992,62 @@ class TestIntegerFirstSums:
         # the counters are live: the separate body raises Fraction(2) to 2^j
         _reference_app_lucas(1)
         assert calls["__pow__"]
+
+
+def _sweep_entries(max_n: int) -> tuple:
+    """From cold caches, what `verify --identity all --max-n max_n` builds of
+    the sums' n-independent pieces: the coefficients of each N_k(q^2) that
+    _at_q_squared returns, each (polynomial, point) at which a polynomial is
+    evaluated at 2 or 5, and each (family, n) that expansion is entered with,
+    one Counter each.  Read from the frames entered, as a memo hit enters none."""
+    exact_core.clear_caches()
+    squares, values, sums = Counter(), Counter(), Counter()
+    at_q_squared = inspect.unwrap(identities._at_q_squared).__code__
+    evaluate = QPolynomial.__call__.__code__
+    expansion = inspect.unwrap(identities.expansion).__code__
+
+    def profile(frame, event, arg):
+        if frame.f_code is at_q_squared and event == "return":
+            squares[arg.coeffs] += 1
+        elif frame.f_code is evaluate and event == "call" and frame.f_locals["value"] in (2, 5):
+            values[frame.f_locals["self"].coeffs, frame.f_locals["value"]] += 1
+        elif frame.f_code is expansion and event == "call":
+            sums[frame.f_locals["family"], frame.f_locals["n"]] += 1
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--identity", "all", "--max-n", str(max_n)]) == 0
+    finally:
+        sys.setprofile(None)
+    return squares, values, sums
+
+
+class TestSweepCost:
+    def test_each_summand_is_built_once(self):
+        # At --max-n 16, main_39 reads N_1..N_17 at q^2, the Pell and
+        # Lucas/Fibonacci sums N_1..N_34 at 2 and at 5, and main_38, catlan2 and
+        # lemma_f_zero sum (3.8) at m <= 16, at 2n and at 2n + 1 <= 33.  Before
+        # the memos the sweep built 153 N_k(q^2), made 1,190 evaluations and
+        # entered expansion 85 times.
+        squares, values, sums = _sweep_entries(16)
+        q_squared = QPolynomial((0, 0, 1), "q")
+        assert squares == Counter(
+            narayana_poly(k).substitute(q_squared).coeffs for k in range(1, 18))
+        assert values == Counter(
+            (narayana_poly(k).coeffs, point) for k in range(1, 35) for point in (2, 5))
+        assert sums == Counter(
+            [(family, n) for family in "DQ" for n in range(17)]
+            + [("P", m) for m in range(34)])
+
+    def test_memos_match_their_plain_definitions(self):
+        q_squared = QPolynomial((0, 0, 1), "q")
+        for k in range(41):
+            want = narayana_poly(k).substitute(q_squared)
+            assert _identical(identities._at_q_squared(k), want), k
+            for point in (2, 5):
+                got = identities._narayana_at(k, point)
+                assert got == narayana_poly(k)(point) and type(got) is int, (k, point)
 
 
 # -- mutation audit: one helper of the identities module, or one exact_core
@@ -1096,7 +1156,7 @@ _MUTANTS = {
     "horner/undivided": lambda real: partial(_undivided_horner, real),
     # the helpers that compute one side of a registry row
     "expansion": lambda real: lambda family, n: real(family, n) + (_Q if n == 5 else 0),
-    "_at_q_squared": lambda real: lambda p: real(p) + (_Q if p.degree == 4 else 0),
+    "_at_q_squared": lambda real: lambda k: real(k) + (_Q if k == 4 else 0),
     "_narayana_direct": lambda real: lambda n: [
         c + (n == 5 and i == 1) for i, c in enumerate(real(n))
     ],
@@ -1259,6 +1319,21 @@ class TestMutationAudit:
             assert check_identity("legendre_reflection", n).equal, n
         assert not all(integral_representation_check(n).equal
                        for n in range(1, _AUDIT_MAX_N + 1))
+
+    def test_checks_are_blind_to_powers(self, monkeypatch, fresh_caches):
+        # no check in cli._CHECKS takes a polynomial power, as every sum runs by
+        # Horner's rule, so a power off by one at exponent 3 fails none;
+        # criterion 5's closed forms, expansion_term's a(n, k) B^(n-k), fail
+        # wherever n - k = 3
+        real = QPolynomial.__pow__
+        monkeypatch.setattr(QPolynomial, "__pow__", lambda p, e: real(p, e + (e == 3)))
+        assert _failing_checks() == set()
+        wrong = [
+            (family, n, k) for family in "DPQ" for n in range(7) for k in range(n + 1)
+            if getattr(combinat, f"family_{family}_weight")(n, k)
+            != getattr(combinat, f"family_{family}_closed_form")(n, k)
+        ]
+        assert wrong == [(family, n, n - 3) for family in "DPQ" for n in range(3, 7)]
 
 
 # -- the two sides of each check, run apart ----------------------------------------

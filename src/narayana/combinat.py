@@ -60,9 +60,12 @@ def _cap(default: int) -> int:
     if not env:
         return default
     try:
-        return max(default, int(env))
+        cap = int(env)
     except ValueError:
         raise ValueError(f"NARAYANA_CAP must be an integer, got {env!r}") from None
+    if cap < 0:
+        raise ValueError(f"NARAYANA_CAP must be nonnegative, got {env!r}")
+    return max(default, cap)
 
 
 def _check_cap(n: int, default: int, what: str):
@@ -83,7 +86,8 @@ def _dyck_paths(n: int) -> tuple[str, ...]:
     if n == 0:
         return ("",)
     out = []
-    # first-return decomposition preserves lexicographic order with U < D
+    # extend each prefix by U before D, so the paths come out in lexicographic
+    # order with U < D
     def rec(prefix: str, ups: int, downs: int):
         if ups == 0 and downs == 0:
             out.append(prefix)
@@ -566,6 +570,8 @@ def _is_fixed_word(w, family: str) -> bool:
 
 
 def is_fixed_tree(t, family: str) -> bool:
+    if family not in _FAMILY:
+        raise ValueError(f"unknown family {family!r}")
     return _is_fixed_word(_word(t), family)
 
 

@@ -73,12 +73,21 @@ def _as_scalar(c) -> Scalar:
 
 def _mul_into(out: list, a, b, weight: Scalar = 1) -> None:
     """Add weight * a[i] * b[j] into out[i + j] for each nonzero a[i]: the one
-    schoolbook product, for QPolynomial.__mul__, horner and _combine."""
+    schoolbook product, for QPolynomial.__mul__, horner and _combine.  A
+    factor weight * a[i] of 1 or -1 adds or subtracts b's row as it is, with
+    no multiplication."""
     for i, ca in enumerate(a):
         if ca:
             ca *= weight
-            for j, cb in enumerate(b, i):
-                out[j] += ca * cb
+            if ca == 1:
+                for j, cb in enumerate(b, i):
+                    out[j] += cb
+            elif ca == -1:
+                for j, cb in enumerate(b, i):
+                    out[j] -= cb
+            else:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
 
 
 class QPolynomial:
@@ -116,9 +125,14 @@ class QPolynomial:
 
     @classmethod
     def monomial(cls, c, power: int, var: str = "q") -> "QPolynomial":
+        """c * var^power.  Only c goes through coefficient intake; the `int`
+        zeros below it are added after, and a zero c gives the zero polynomial."""
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
-        return cls((0,) * power + (c,), var)
+        p = cls((c,), var)
+        if p.coeffs:
+            p.coeffs = (0,) * power + p.coeffs
+        return p
 
     # -- structure -------------------------------------------------------
 
@@ -284,10 +298,12 @@ def horner(base: QPolynomial, terms: Iterable) -> QPolynomial:
 
     The sum runs on one coefficient list: every term, a pair's scale included,
     is scaled by a common denominator d, so with an integer base each step is
-    `int` arithmetic, and the list is divided by d once at the end.  The
-    indeterminate follows `acc * base + a` step by step: a constant partial
-    product takes the next term's indeterminate, and two non-constant operands
-    in different indeterminates raise IndeterminateMismatchError.
+    `int` arithmetic, and the list is divided by d once at the end.  A zero
+    coefficient is skipped, and with d and the scale both 1 a coefficient is
+    added as it is.  The indeterminate follows `acc * base + a` step by step:
+    a constant partial product takes the next term's indeterminate, and two
+    non-constant operands in different indeterminates raise
+    IndeterminateMismatchError.
     """
     polys = []
     for a in terms:
@@ -315,8 +331,14 @@ def horner(base: QPolynomial, terms: Iterable) -> QPolynomial:
             )
         acc.extend([0] * (len(cs) - len(acc)))
         sd = s * d if type(s) is int else s.numerator * (d // s.denominator)
-        for i, c in enumerate(cs):
-            acc[i] += c * sd if type(c) is int else c.numerator * (sd // c.denominator)
+        if sd == 1 and d == 1:  # every coefficient an int, and none scaled
+            for i, c in enumerate(cs):
+                if c:
+                    acc[i] += c
+        else:
+            for i, c in enumerate(cs):
+                if c:
+                    acc[i] += c * sd if type(c) is int else c.numerator * (sd // c.denominator)
         while acc and not acc[-1]:
             acc.pop()
     return QPolynomial(acc if d == 1 else [Fraction(c, d) for c in acc], var)

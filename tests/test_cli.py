@@ -523,6 +523,17 @@ class TestEnumerate:
         assert out == ""
         assert got == err + " (set NARAYANA_CAP to raise it)\n"
 
+    @pytest.mark.parametrize("cap, err", [
+        ("abc", "enumerate: NARAYANA_CAP must be an integer, got 'abc'\n"),
+        ("-5", "enumerate: NARAYANA_CAP must be nonnegative, got '-5'\n"),
+    ])
+    def test_bad_cap_variable_is_usage_error(self, capsys, monkeypatch, cap, err):
+        monkeypatch.setenv("NARAYANA_CAP", cap)
+        code, out, got = run(capsys, "enumerate", "--family", "dyck", "--n", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert got == err
+
     @pytest.mark.parametrize("family", ["D", "P", "Q"])
     def test_negative_involution_size_is_usage_error(self, capsys, monkeypatch, family):
         def refuse(*args, **kwargs):

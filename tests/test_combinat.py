@@ -43,6 +43,12 @@ class TestDyckEnumeration:
         with pytest.raises(ValueError, match="NARAYANA_CAP must be an integer, got 'abc'"):
             cb.enumerate_dyck(2)
 
+    def test_negative_cap_names_the_variable(self, monkeypatch):
+        # not taken as unset: a cap below every default is a mistake
+        monkeypatch.setenv("NARAYANA_CAP", "-5")
+        with pytest.raises(ValueError, match="NARAYANA_CAP must be nonnegative, got '-5'"):
+            cb.enumerate_dyck(2)
+
 
 class TestFamilyD:
     def test_semilength_one_elements(self):
@@ -304,6 +310,13 @@ class TestInvolutions:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             cb.involution_verify("R", 2)
+        # and by the tree adapters, given a tree with a unary root or one without
+        unary, other = cb.fixed_set_P(4)[0], cb.enumerate_family_P(2, 1)[0]
+        assert cb._TOKENS[cb._word(unary)[0]][1] == 1 != cb._TOKENS[cb._word(other)[0]][1]
+        for t in (unary, other):
+            for adapter in (cb.is_fixed_tree, cb.psi):
+                with pytest.raises(ValueError, match="unknown family 'X'"):
+                    adapter(t, "X")
 
     def test_dbar_certifies_alternating_sum(self):
         for n in range(1, 7):
@@ -1111,6 +1124,44 @@ class TestCertificateMutants:
         report = _report_against_reference("P", 4)
         assert report.failures == {**NO_FAILURES, "fixed_set_match": 1, "total_weight": 1}
         assert report.counterexample is None
+
+    def test_certificates_are_blind_to_the_stream_size(self, monkeypatch):
+        # the five certificates say that phi or psi is a sign-reversing
+        # involution on the stream it is fed, not that the stream is the whole
+        # family: with one moving pair dropped or fed twice they all pass, and
+        # only the element count moves.  A run-time count check (ROADMAP item 4)
+        # would flip these to failures.  A dropped fixed element still fails
+        # fixed_set_match and total_weight, which shows that the edit is live
+        real = cb._certify
+
+        def feed(edit):
+            def certify(family, n, elements, is_fixed, apply, *rest):
+                elements = list(elements)
+                moving = next(e for e in elements if not is_fixed(e))
+                fixed = next((e for e in elements if is_fixed(e)), None)  # none in P 5
+                stream = edit(elements, [moving, apply(moving)], fixed)
+                return real(family, n, stream, is_fixed, apply, *rest)
+
+            monkeypatch.setattr(cb, "_certify", certify)
+
+        def without(elements, dropped):
+            for e in dropped:
+                elements.remove(e)
+            return elements
+
+        for family, n, size in (("D", 5, 4978), ("P", 5, 1704), ("Q", 4, 777)):
+            assert cb.involution_verify(family, n).size == size
+            feed(lambda elements, pair, fixed: without(elements, pair))
+            report = cb.involution_verify(family, n)
+            assert report.certified and report.size == size - 2, (family, n)
+            feed(lambda elements, pair, fixed: elements + pair)
+            report = cb.involution_verify(family, n)
+            assert report.certified and report.size == size + 2, (family, n)
+            monkeypatch.setattr(cb, "_certify", real)
+        feed(lambda elements, pair, fixed: without(elements, [fixed]))
+        for family, n in (("D", 5), ("P", 4), ("Q", 4)):
+            report = cb.involution_verify(family, n)
+            assert report.failures == {**NO_FAILURES, "fixed_set_match": 1, "total_weight": 1}
 
 
 # -- the closed forms and weight sums as separate bodies: each closed form with

@@ -9,6 +9,7 @@ from narayana.exact_core import (
     PolySeries,
     QPolynomial,
     SeriesPreconditionError,
+    _combine,
     binomial,
     finite_difference_check,
     horner,
@@ -243,6 +244,8 @@ class TestCoefficientStorage:
             QPolynomial((1, bad), "q")
         with pytest.raises(TypeError):
             QPolynomial.constant(bad, "q")
+        with pytest.raises(TypeError):
+            QPolynomial.monomial(bad, 3, "q")
         with pytest.raises(TypeError):
             PolySeries([1, bad], 4)
 
@@ -712,3 +715,78 @@ class TestHornerAgainstReference:
     def test_term_in_other_indeterminate_rejected(self, base, terms):
         with pytest.raises(IndeterminateMismatchError):
             horner(base, terms)
+
+
+# -- the unit and zero paths: _mul_into adds or subtracts b's row when its
+#    factor weight * a[i] is 1 or -1, and horner skips a term's zero
+#    coefficients and adds an unscaled term's as they are.  Each result is
+#    checked against a reference whose products run through the other
+#    operand's coefficients, and by value at a few points, which evaluation
+#    finds with no polynomial product at all
+
+_POINTS = (-2, Fraction(1, 3), 5)
+
+
+def _value(term, x):
+    """A horner term's value at x: a scalar, a polynomial or a (scale, polynomial) pair."""
+    if type(term) is tuple:
+        return term[0] * _value(term[1], x)
+    return term(x) if isinstance(term, QPolynomial) else term
+
+
+def assert_identical_with_values(got, expected, value_at):
+    assert_identical(got, expected)
+    assert_canonical(got)
+    for x in _POINTS:
+        assert got(x) == value_at(x), x
+
+
+class TestUnitFactors:
+    @pytest.mark.parametrize("weight", [Fraction(2, 3), Fraction(-2, 3)])
+    def test_factor_that_becomes_a_unit_after_its_weight(self, weight):
+        # 3/2 and -3/2 times the weight are 1 and -1, as Fractions; 4 stays scaled
+        f = QPolynomial((Fraction(3, 2), 4, Fraction(-3, 2)), "x")
+        g = QPolynomial((2, Fraction(1, 5), -7), "x")
+        for a in (QPolynomial((Fraction(3, 2),), "x"), f):
+            got = _combine([(weight, a, g)])
+            # the reference multiplies through g's coefficients, none of them a unit
+            expected = _reference_mul(PolySeries([g], 0), PolySeries([a * weight], 0)).coeffs[0]
+            assert_identical_with_values(got, expected, lambda x: weight * a(x) * g(x))
+
+    @pytest.mark.parametrize("units", [(1,), (-1,), (1, -1), (-1, 0, 1, 1), (0, -1, 3, -1)])
+    def test_integer_unit_factors(self, units):
+        a = QPolynomial(units, "x")
+        b = QPolynomial((3, Fraction(-5, 2), 7), "x")
+        assert_identical_with_values(a * b, b * a, lambda x: a(x) * b(x))
+        # the series product's _combine multiplies through a's coefficients,
+        # the reference through b's
+        s, t = PolySeries([a, a + 2], 1), PolySeries([b, 3 * b], 1)
+        got, expected = s * t, _reference_mul(t, s)
+        for n in range(2):
+            assert_identical_with_values(
+                got.coeffs[n], expected.coeffs[n],
+                lambda x: sum(s.coeffs[i](x) * t.coeffs[n - i](x) for i in range(n + 1)))
+
+    @pytest.mark.parametrize("base", [QPolynomial((1, 1), "q"), QPolynomial((-1, 1), "q"),
+                                      QPolynomial((-1, -1), "q"), QPolynomial((1, 2, 1), "q")])
+    @pytest.mark.parametrize("terms", [
+        # d = 1: unscaled int terms, added as they are
+        [QPolynomial.monomial(3, 4), 5, QPolynomial.monomial(-2, 1), QPolynomial.monomial(1, 3)],
+        # d = 1 with int scales, so each coefficient is multiplied
+        [(3, QPolynomial.monomial(2, 3)), QPolynomial.monomial(-1, 2), (-1, QPolynomial.monomial(7, 1))],
+        # d > 1: a Fraction coefficient and a Fraction scale
+        [QPolynomial.monomial(Fraction(1, 3), 3), QPolynomial.monomial(2, 2),
+         (Fraction(1, 2), QPolynomial.monomial(4, 1)), Fraction(-5, 6)],
+    ], ids=["unscaled", "int-scales", "fractions"])
+    def test_horner_over_padded_monomials(self, base, terms):
+        expected = _reference_horner(base, [a[0] * a[1] if type(a) is tuple else a for a in terms])
+        m = len(terms) - 1
+        assert_identical_with_values(
+            horner(base, terms), expected,
+            lambda x: sum(_value(a, x) * base(x) ** (m - k) for k, a in enumerate(terms)))
+
+    @pytest.mark.parametrize("c", [0, 3, True, Fraction(6, 2), Fraction(1, 3)])
+    def test_monomial_pads_after_intake(self, c):
+        p = QPolynomial.monomial(c, 3, "x")
+        assert_identical(p, QPolynomial([0, 0, 0, c], "x"))
+        assert all(type(z) is int for z in p.coeffs[:-1])

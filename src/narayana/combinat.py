@@ -7,7 +7,9 @@ Decorated elements (base path plus insertions) are family D's public form.
 The involution acts on flattened paths; no two decorated elements of one
 size flatten alike (checked by full enumeration for n <= 7).  D and its
 all-(+-q) subfamily are enumerated flat, each insertion tuple's steps joined
-once and mapped over all its sign patterns; `flatten` stays as the reference.
+once and zipped with all its sign patterns' tags; `flatten` stays as the
+reference.  Inside the module a path is its plain (steps, tags) pair, as a
+tree is its word (below); the public functions take either form.
 phi reads each word's primitive components from a per-word cache.  The
 weight sums of D, P and Q build no element: one tally of the m-fold mark
 products, scaled by class counts.  D's count of insertion tuples is the
@@ -24,7 +26,7 @@ words at one choice of marked positions are one `product` over the shape's
 cached unmarked word with the marks at those positions.  psi edits at most
 two tokens, since a subtree is a slice and its rightmost leaf its last token.
 
-Each family reaches the certifier as one chain of C iterators (D's maps,
+Each family reaches the certifier as one chain of C iterators (D's zips,
 P's and Q's products), no Python frame resumed per element, and a pair that
 closes in the stream leaves no weight tally: its +w and -w cancel.
 """
@@ -35,7 +37,7 @@ import os
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import partial
-from itertools import chain, combinations, product, repeat
+from itertools import accumulate, chain, combinations, product, repeat
 from math import prod
 
 from . import identities, series
@@ -109,25 +111,38 @@ def enumerate_dyck(n: int) -> list:
 
 # tags: one per up-step: 0 -> 1, +1 -> q, -1 -> -q
 WeightedDyckPath = namedtuple("WeightedDyckPath", "steps tags")
-_tuple_new = tuple.__new__  # a path from its (steps, tags) with no Python frame
 
 
-def _path_key(p: WeightedDyckPath) -> tuple[int, int]:
+def _checked(p) -> tuple[str, tuple[int, ...]]:
+    """p's (steps, tags), or a ValueError unless the steps are a Dyck word
+    over U/D with one tag in {-1, 0, 1} per up-step."""
+    steps, tags = p
+    if not (isinstance(steps, str) and set(steps) <= {"U", "D"}
+            and min(accumulate(1 if s == "U" else -1 for s in steps), default=0) >= 0
+            and 2 * steps.count("U") == len(steps) == 2 * len(tags) and set(tags) <= {-1, 0, 1}):
+        raise ValueError(f"not a weighted Dyck path: {p!r}")
+    return steps, tuple(tags)
+
+
+def _path_key(p) -> tuple[int, int]:
     """The weight as (coefficient, exponent): the product over up-step tags."""
-    tags = p.tags
+    tags = p[1]
     return (-1) ** tags.count(-1), len(tags) - tags.count(0)
 
 
-def path_weight(p: WeightedDyckPath) -> QPolynomial:
+def path_weight(p) -> QPolynomial:
     """The signed monomial weight: product over up-step tags."""
-    return QPolynomial.monomial(*_path_key(p), "q")
+    return QPolynomial.monomial(*_path_key(_checked(p)), "q")
 
 
-def serialize_path(p: WeightedDyckPath) -> str:
+def serialize_path(p) -> str:
+    steps, tags = p
+    if len(tags) != steps.count("U"):
+        raise ValueError(f"not a weighted Dyck path: {p!r}")
     names = {0: "1", 1: "q", -1: "-q"}
-    it = iter(p.tags)
+    it = iter(tags)
     parts = []
-    for s in p.steps:
+    for s in steps:
         parts.append(f"U[{names[next(it)]}]" if s == "U" else "D")
     return "".join(parts)
 
@@ -180,15 +195,15 @@ def iter_family_D(n: int, k: int) -> Iterator[DecoratedDyckElement]:
             yield from (DecoratedDyckElement(k, base, *e) for e in product(tuples, signs))
 
 
-def _flat_paths(n: int, k: int, bases, signs) -> Iterator[WeightedDyckPath]:
+def _flat_paths(n: int, k: int, bases, signs) -> Iterator[tuple[str, tuple[int, ...]]]:
     """The flattened elements at (n, k) over `bases` (semilength k), each
     insertion up-step tagged from `signs`, in `iter_family_D` order:
     insertion i before base step i, so 2k + 1 insertions and 2k base steps
     fill 4k + 1 slots.  Each insertion tuple's steps are joined once, and one
     tag tuple per sign pattern, the base's peak tags at fixed cut points,
     serves every insertion tuple of the (base, composition): one chain of
-    maps, one per insertion tuple."""
-    def maps():
+    zips of (steps, tags) pairs, one zip per insertion tuple."""
+    def zips():
         for base in bases:
             peaks = iter(_base_tags(base))
             fixed = [[(next(peaks),)] if step == "U" else [] for step in base]
@@ -202,13 +217,12 @@ def _flat_paths(n: int, k: int, bases, signs) -> Iterator[WeightedDyckPath]:
                 tag_tuples = list(product(*spaces))
                 for paths in product(*[_dyck_paths(m) for m in comp]):
                     slots[::2] = paths
-                    steps = repeat("".join(slots))
-                    yield map(_tuple_new, repeat(WeightedDyckPath), zip(steps, tag_tuples))
-    return chain.from_iterable(maps())
+                    yield zip(repeat("".join(slots)), tag_tuples)
+    return chain.from_iterable(zips())
 
 
-def _iter_flat_family_D(n: int, k: int) -> Iterator[WeightedDyckPath]:
-    """`flatten(e)` for each e of `iter_family_D(n, k)`, in the same order."""
+def _iter_flat_family_D(n: int, k: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """`flatten(e)`'s (steps, tags) for each e of `iter_family_D(n, k)`, in order."""
     return _flat_paths(n, k, _dyck_paths(k) if 0 <= k <= n else (), (0, -1))
 
 
@@ -252,9 +266,9 @@ family_D_closed_form = partial(identities.expansion_term, "D")
 # -- the involution on weighted Dyck paths --------------------------------------
 
 
-def _is_unweighted(p: WeightedDyckPath) -> bool:
+def _is_unweighted(p) -> bool:
     """Every up-step weighs 1: the fixed set of phi."""
-    return not any(p.tags)
+    return not any(p[1])
 
 
 @cached
@@ -271,22 +285,27 @@ def _components(steps: str) -> tuple[tuple[int, ...], ...]:
     return tuple(chains)
 
 
-def phi(p: WeightedDyckPath) -> WeightedDyckPath:
+def phi(p) -> WeightedDyckPath:
     """Sign-reversing involution on weighted Dyck paths with some +-q weight.
 
     Recursive rule: in the rightmost primitive component holding a +-q weight,
     flip its first up-step if weighted +-q, else recurse into its interior; that
     is, flip the first +-q up-step among the arches enclosing the last one.
     """
-    tags = p.tags
+    return WeightedDyckPath(*_phi(_checked(p)))
+
+
+def _phi(p: tuple[str, tuple[int, ...]]) -> tuple[str, tuple[int, ...]]:
+    """phi on an unchecked (steps, tags) pair."""
+    steps, tags = p
     if not any(tags):
         raise FixedElementError("phi is undefined on all-1-weighted paths")
     last = len(tags) - 1
     while not tags[last]:
         last -= 1
-    for i in _components(p.steps)[last]:
+    for i in _components(steps)[last]:
         if tags[i]:
-            return _tuple_new(WeightedDyckPath, (p.steps, tags[:i] + (-tags[i],) + tags[i + 1:]))
+            return steps, tags[:i] + (-tags[i],) + tags[i + 1:]
 
 
 def dbar_elements(n: int) -> list:
@@ -813,8 +832,7 @@ def _involution(family: str):
     if family == "D":
         return (
             FAMILY_D_CAP, _iter_flat_family_D, _is_unweighted,
-            phi, _path_key, serialize_path,
-            lambda n: (WeightedDyckPath(p, (0,) * n) for p in _dyck_paths(n)),
+            _phi, _path_key, serialize_path, lambda n: zip(_dyck_paths(n), repeat((0,) * n)),
         )
     if family not in _FAMILY:
         raise ValueError(f"unknown family {family!r}")

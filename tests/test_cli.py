@@ -407,7 +407,7 @@ class TestInvolution:
 
     def test_failure_counts_go_to_stderr(self, capsys, monkeypatch):
         _, passing, _ = run(capsys, "involution", "--family", "D", "--n", "3")
-        monkeypatch.setattr(combinat, "phi", lambda p: p)  # keeps every weight
+        monkeypatch.setattr(combinat, "_phi", lambda p: p)  # keeps every weight
         report = combinat.involution_verify("D", 3)
         code, out, err = run(capsys, "involution", "--family", "D", "--n", "3")
         assert code == EXIT_MISMATCH

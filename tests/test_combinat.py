@@ -138,13 +138,13 @@ class TestFamilyD:
         for n in range(7):
             flat = [p for k in range(n + 1) for p in cb._iter_flat_family_D(n, k)]
             for p in flat + cb.dbar_elements(n):
-                if any(p.tags):
+                if any(p[1]):
                     assert cb.phi(p) == _reference_phi(p), p
 
     def test_dbar_elements_are_the_all_weighted_flat_paths(self):
         for n in range(7):
             assert cb.dbar_elements(n) == [
-                p for k in range(n + 1) for p in cb._iter_flat_family_D(n, k) if all(p.tags)
+                p for k in range(n + 1) for p in cb._iter_flat_family_D(n, k) if all(p[1])
             ], n
 
     def test_dbar_counts_are_central_binomials(self):
@@ -172,12 +172,59 @@ class TestFamilyD:
         assert cb.involution_verify("D", 6).certified
         assert 0 < cb._components.cache_info().currsize <= sum(map(catalan, range(7))) == 197
 
+    @pytest.mark.parametrize("family", ["D", "Dbar"])
+    def test_streamed_pairs_meet_the_public_paths(self, family):
+        # inside the module a path is a plain (steps, tags) pair; the public
+        # functions take it or its WeightedDyckPath alike, and phi returns
+        # the named form
+        for n in range(7):
+            decorated = [cb.flatten(e) for k in range(n + 1) for e in cb.iter_family_D(n, k)]
+            if family == "D":
+                stream = [p for k in range(n + 1) for p in cb._iter_flat_family_D(n, k)]
+            else:
+                stream = cb.dbar_elements(n)
+                decorated = [p for p in decorated if all(p.tags)]
+            assert len(stream) == len(decorated), (family, n)
+            for e, named in zip(stream, decorated):
+                assert type(e) is tuple and e == named, (family, n, e)
+                path = cb.WeightedDyckPath(*e)
+                assert cb.serialize_path(e) == cb.serialize_path(path)
+                assert cb.path_weight(e) == cb.path_weight(path)
+                if cb._is_unweighted(e):
+                    with pytest.raises(cb.FixedElementError):
+                        cb.phi(path)
+                    continue
+                image = cb.phi(path)
+                assert type(image) is cb.WeightedDyckPath and image == cb._phi(e), (n, e)
+                assert type(cb._phi(e)) is tuple and cb.phi(e) == image, (n, e)
+
+    @pytest.mark.parametrize("steps, tags", [
+        ("UUDD", (1,)),  # a tag short
+        ("UD", (1, 1)),  # a tag too many
+        ("DU", (1,)),  # not a Dyck word: dips below the axis
+        ("UUD", (1, 0)),  # not a Dyck word: ends above the axis
+        ("UXDD", (1, 1)),  # a step that is neither U nor D
+        ("UD", (2,)),  # a tag outside {-1, 0, 1}
+    ])
+    def test_public_path_functions_reject_malformed_paths(self, steps, tags):
+        path = cb.WeightedDyckPath(steps, tags)
+        for function in (cb.phi, cb.path_weight):
+            with pytest.raises(ValueError, match="not a weighted Dyck path"):
+                function(path)
+            with pytest.raises(ValueError, match="not a weighted Dyck path"):
+                function((steps, tags))
+        # serialize_path, run on every line `enumerate` prints, checks only
+        # the tag count
+        if len(tags) != steps.count("U"):
+            with pytest.raises(ValueError, match="not a weighted Dyck path"):
+                cb.serialize_path(path)
+
 
 def _reference_phi(p):
     """phi as a scan of the primitive components of each level in turn: find
     the rightmost one holding a +-q weight, then flip its first up-step or
     descend into its interior."""
-    steps, tags = p.steps, list(p.tags)
+    steps, tags = p[0], list(p[1])
 
     def flip(lo, hi, tag_lo):
         comps = []
@@ -798,7 +845,7 @@ def _reference_certify(family, n, elements, is_fixed, apply, weight, serialize, 
 
 
 def _is_all_ones(p):
-    return all(t == 0 for t in p.tags)
+    return all(t == 0 for t in p[1])
 
 
 def _reference_report(family, n, collect_pairs):
@@ -960,7 +1007,9 @@ class TestCertificateMutants:
     still agrees with the reference certifier."""
 
     def test_weight_preserving_mutant(self, monkeypatch):
-        monkeypatch.setattr(cb, "phi", lambda p: p)
+        # patched in `_phi`, which the public `phi` that the reference calls
+        # looks up when called
+        monkeypatch.setattr(cb, "_phi", lambda p: p)
         report = _report_against_reference("D", 3)
         moving = report.size - report.fixed_count
         assert moving > 0
@@ -1055,12 +1104,12 @@ class TestCertificateMutants:
     def test_phi_onto_the_fixed_set(self, monkeypatch):
         # p goes to an all-1 path, which weighs 1, not -weight(p), and on
         # which phi raises; phi(p) still goes to p
-        real_phi = cb.phi
+        real_phi = cb._phi
         elements = [e for k in range(5) for e in cb._iter_flat_family_D(4, k)]
         p = next(e for e in elements if not cb._is_unweighted(e))
         q = real_phi(p)
-        fixed = cb.WeightedDyckPath(p.steps, (0,) * 4)
-        monkeypatch.setattr(cb, "phi", lambda path: fixed if path == p else real_phi(path))
+        fixed = (p[0], (0,) * 4)
+        monkeypatch.setattr(cb, "_phi", lambda path: fixed if path == p else real_phi(path))
         report = cb.involution_verify("D", 4)
         assert report.failures == {
             **NO_FAILURES, "multiset_closure": 2, "self_inverse": 2, "weight_reversal": 1,
@@ -1097,15 +1146,16 @@ class TestCertificateMutants:
         # p goes to a path one semilength longer with its true image's
         # weight, and back; both copies of p open that image, and neither
         # copy of q = phi(p) finds p sent back
-        real_phi = cb.phi
+        real_phi = cb._phi
         p = next(cb.flatten(e) for e in real_iter(3, 1))
         q = real_phi(p)
 
         def lengthened(path):
-            return cb.WeightedDyckPath(path.steps + "UD", path.tags + (0,))
+            steps, tags = path
+            return steps + "UD", tags + (0,)
 
         swaps = {p: lengthened(q), lengthened(q): p}
-        monkeypatch.setattr(cb, "phi", lambda path: swaps.get(path) or real_phi(path))
+        monkeypatch.setattr(cb, "_phi", lambda path: swaps.get(path) or real_phi(path))
         report = _report_against_reference("D", 3)
         assert report.failures == {**NO_FAILURES, "multiset_closure": 4, "self_inverse": 2}
         assert report.counterexample == cb.serialize_path(q)

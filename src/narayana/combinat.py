@@ -137,14 +137,14 @@ def path_weight(p) -> QPolynomial:
 
 def serialize_path(p) -> str:
     steps, tags = p
-    if len(tags) != steps.count("U"):
-        raise ValueError(f"not a weighted Dyck path: {p!r}")
-    names = {0: "1", 1: "q", -1: "-q"}
+    names = {0: "U[1]", 1: "U[q]", -1: "U[-q]"}
     it = iter(tags)
-    parts = []
-    for s in steps:
-        parts.append(f"U[{names[next(it)]}]" if s == "U" else "D")
-    return "".join(parts)
+    try:
+        if len(tags) == steps.count("U"):
+            return "".join([names[next(it)] if s == "U" else "D" for s in steps])
+    except KeyError:  # a tag outside {-1, 0, 1}
+        pass
+    raise ValueError(f"not a weighted Dyck path: {p!r}")
 
 
 # base: semilength k; peak up-steps carry weight q, others 1
@@ -747,19 +747,17 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
     only called for the counterexample and the pairs.
 
     Each pair {e, img} is worked once, by the member met first: it computes
-    img = apply(e), key(img) and apply(img).  When both checks pass, img
-    goes into `open_pairs` with its partner and weight, once per occurrence
-    (`elements` may repeat one).  A later non-fixed occurrence of img pops
-    it, and img passes both checks, so the two visits' +1/-1 in the closure
-    and +w/-w in the total cancel: a closed pair leaves no tally.  Only
-    fixed and failing elements are tallied, and each pair open at the end
+    img = apply(e), key(img) and apply(img).  When both checks pass, img's
+    count in `open_pairs` goes up by one (`elements` may repeat an element),
+    and a later non-fixed occurrence of img counts one down: img passes both
+    checks, so the two visits' +1/-1 in the closure and +w/-w in the total
+    cancel.  Only fixed and failing elements are tallied.  A pair open at
+    the end gets its partner back as apply(img), as its first visit did, and
     adds +partner, -img and the partner's weight per occurrence due, as the
     two visits would when img is fixed or not in the family.  So every
     result is that of visiting every element from its own end."""
     closure = Counter()  # failing elements +1, their images -1
-    # image -> (partner, image's coefficient, its exponent, occurrences still
-    # due), flat, so that an open pair holds one tuple, not two
-    open_pairs = {}
+    open_pairs = {}  # image -> occurrences still due
     fixed_match = Counter()  # fixed elements found +1, expected -1
     total, fixed_weight = Counter(), Counter()  # exponent -> coefficient
     size = fixed_count = self_inverse = weight_reversal = 0
@@ -772,10 +770,10 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
             fixed_count += 1
             fixed_match[e] += 1
             continue
-        met = open_pairs.pop(e, None)
-        if met is not None:
-            if met[3] > 1:
-                open_pairs[e] = (*met[:3], met[3] - 1)
+        due = open_pairs.pop(e, 0)
+        if due:
+            if due > 1:
+                open_pairs[e] = due - 1
             continue
         coeff, exponent = key(e)
         img = apply(e)
@@ -787,8 +785,7 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
         except FixedElementError:  # e was sent onto the fixed set
             inverse_ok = False
         if reversed_ok and inverse_ok:
-            if open_pairs.setdefault(img, opened := (e, -coeff, exponent, 1)) is not opened:
-                open_pairs[img] = (e, -coeff, exponent, open_pairs[img][3] + 1)
+            open_pairs[img] = open_pairs.get(img, 0) + 1
         else:
             total[exponent] += coeff
             closure[e] += 1
@@ -802,10 +799,12 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
             if pair not in seen_pairs:
                 seen_pairs.add(pair)
                 pairs.append((serialize(e), serialize(img)))
-    for img, (partner, coeff, exponent, due) in open_pairs.items():
+    for img, due in open_pairs.items():
+        partner = apply(img)
+        coeff, exponent = key(partner)
         closure[partner] += due
         closure[img] -= due
-        total[exponent] -= coeff * due
+        total[exponent] += coeff * due
     for e in expected_fixed:
         fixed_match[e] -= 1
         coeff, exponent = key(e)

@@ -214,8 +214,8 @@ class TestFamilyD:
             with pytest.raises(ValueError, match="not a weighted Dyck path"):
                 function((steps, tags))
         # serialize_path, run on every line `enumerate` prints, checks only
-        # the tag count
-        if len(tags) != steps.count("U"):
+        # the tags: their count and their values
+        if len(tags) != steps.count("U") or not set(tags) <= {-1, 0, 1}:
             with pytest.raises(ValueError, match="not a weighted Dyck path"):
                 cb.serialize_path(path)
 
@@ -996,8 +996,12 @@ def _psi_table_P(n):
 
 
 def _report_against_reference(family, n):
-    report = cb.involution_verify(family, n)
-    assert _report_fields(report) == _report_fields(_reference_report(family, n, False))
+    """`involution_verify`'s report, checked with pairs and without against
+    the reference certifier; the one without pairs is returned."""
+    for collect_pairs in (True, False):
+        report = cb.involution_verify(family, n, collect_pairs=collect_pairs)
+        expected = _reference_report(family, n, collect_pairs)
+        assert _report_fields(report) == _report_fields(expected), collect_pairs
     return report
 
 

@@ -215,32 +215,58 @@ def _size(text: str) -> int:
     return n
 
 
+def _formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's own formatter at the width it would pick: COLUMNS, else the
+    terminal's, else 80, less 2, read as shutil.get_terminal_size reads it.
+    argparse imports shutil (and with it bz2, lzma and zlib) for this width
+    alone, once for each of the formatters that building the parser makes."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="narayana",
         description="Exact verification of Narayana/Catalan/Legendre identities.",
+        formatter_class=_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="check identities exactly")
+    p_verify = sub.add_parser(
+        "verify", help="check identities exactly", formatter_class=_formatter
+    )
     p_verify.add_argument("--identity", choices=(*_CHECKS, "all"), metavar="NAME", required=True)
     p_verify.add_argument("--max-n", type=_size, required=True)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_table = sub.add_parser("table", help="print a sequence/polynomial table")
+    p_table = sub.add_parser(
+        "table", help="print a sequence/polynomial table", formatter_class=_formatter
+    )
     p_table.add_argument("--sequence", choices=_SEQUENCES, metavar="NAME", required=True)
     p_table.add_argument("--max-n", type=_size, required=True)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.set_defaults(func=_cmd_table)
 
-    p_inv = sub.add_parser("involution", help="run involution certificates")
+    p_inv = sub.add_parser(
+        "involution", help="run involution certificates", formatter_class=_formatter
+    )
     p_inv.add_argument("--family", choices=("D", "P", "Q"), required=True)
     p_inv.add_argument("--n", type=_size, required=True)
     p_inv.add_argument("--emit-pairs", action="store_true")
     p_inv.set_defaults(func=_cmd_involution)
 
-    p_enum = sub.add_parser("enumerate", help="list family elements")
+    p_enum = sub.add_parser(
+        "enumerate", help="list family elements", formatter_class=_formatter
+    )
     p_enum.add_argument("--family", choices=("dyck", "D", "P", "Q"), required=True)
     p_enum.add_argument("--n", type=_size, required=True)
     p_enum.add_argument("--k", type=int, default=None)

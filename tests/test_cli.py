@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -597,6 +598,31 @@ class TestUsageErrors:
         assert (args.command, args.identity, args.max_n, args.format) == (
             "verify", "all", 14, "json"
         )
+
+
+class TestHelp:
+    @pytest.mark.parametrize("columns", [None, "40", "200", "0", "junk"])
+    def test_help_matches_argparse_own_formatter(self, monkeypatch, columns):
+        # the CLI's formatter reads the width without shutil; argparse's own
+        # reads it through shutil, and the text must not tell them apart
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parsers = [parser, *commands.choices.values()]
+        ours = [parser.format_usage(), *(p.format_help() for p in parsers)]
+        for p in parsers:
+            p.formatter_class = argparse.HelpFormatter
+        assert ours == [parser.format_usage(), *(p.format_help() for p in parsers)]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_ok(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.startswith("usage: narayana")
+        assert err == ""
 
 
 class TestErrorContract:

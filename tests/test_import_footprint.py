@@ -1,7 +1,9 @@
 """`import narayana` and the CLI's set-up load only the standard library the
 arithmetic and the CLI use: none of `typing`, `dataclasses` or `inspect`,
-which together cost about as much start-up time as the package itself, and
-not `json`, since the CLI writes its JSON lines itself.
+which together cost about as much start-up time as the package itself; not
+`json`, since the CLI writes its JSON lines itself; and not `shutil`, with
+the `bz2` and `lzma` it loads, which argparse imports only to read the
+terminal's width and the CLI's help formatter reads without.
 
 The check runs in a fresh interpreter started with -S (no site packages), so
 nothing pytest or a plugin imported is counted; the probe itself imports
@@ -12,7 +14,7 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-UNWANTED = ("typing", "dataclasses", "inspect", "json")
+UNWANTED = ("typing", "dataclasses", "inspect", "json", "shutil", "bz2", "lzma")
 
 PROBE = """
 import sys

@@ -27,8 +27,11 @@ cached unmarked word with the marks at those positions.  psi edits at most
 two tokens, since a subtree is a slice and its rightmost leaf its last token.
 
 Each family reaches the certifier as one chain of C iterators (D's zips,
-P's and Q's products), no Python frame resumed per element, and a pair that
-closes in the stream leaves no weight tally: its +w and -w cancel.
+P's and Q's products), no Python frame resumed per element.  A shape with
+fewer non-root unary vertices than the n - k marks is skipped, and at k = n
+a shape's one element is its cached word.  phi's flip and psi's edits cost
+one list copy of the tags or word each.  A pair that closes in the stream
+leaves no weight tally: its +w and -w cancel.
 """
 
 from __future__ import annotations
@@ -305,7 +308,9 @@ def _phi(p: tuple[str, tuple[int, ...]]) -> tuple[str, tuple[int, ...]]:
         last -= 1
     for i in _components(steps)[last]:
         if tags[i]:
-            return steps, tags[:i] + (-tags[i],) + tags[i + 1:]
+            tags = list(tags)
+            tags[i] = -tags[i]
+            return steps, tuple(tags)
 
 
 def dbar_elements(n: int) -> list:
@@ -395,11 +400,16 @@ def _token(tag: str, degree: int) -> int:
 
 
 def _word(t) -> tuple[int, ...]:
-    """The pre-order word of a nested tree."""
+    """The pre-order word of a nested tree, or a ValueError naming the first
+    node that is not a (tag, children) pair of a str and a tuple or list."""
     out = []
     stack = [t]
     while stack:
-        tag, children = stack.pop()
+        node = stack.pop()
+        if not (isinstance(node, (tuple, list)) and len(node) == 2
+                and isinstance(node[0], str) and isinstance(node[1], (tuple, list))):
+            raise ValueError(f"not a (tag, children) tree node: {node!r}")
+        tag, children = node
         out.append(_token(tag, len(children)))
         stack.extend(reversed(children))
     return tuple(out)
@@ -429,7 +439,11 @@ def _word_key(w) -> tuple[int, int]:
 
 def tree_weight(t) -> QPolynomial:
     """Product of vertex weights: an integer coefficient times a power of q."""
-    return QPolynomial.monomial(*_word_key(_word(t)), "q")
+    w = _word(t)
+    for token in w:
+        if _TOKEN_COEFFS[token] is None:
+            raise ValueError(f"unknown tree tag {_TOKENS[token][0]!r} in {t!r}")
+    return QPolynomial.monomial(*_word_key(w), "q")
 
 
 def _serialize_word(w) -> str:
@@ -472,19 +486,24 @@ def _shape_words(vertices: int, leaf: str) -> tuple[tuple[tuple[int, ...], tuple
 def _iter_family_trees(n: int, k: int, family: str) -> Iterator[tuple[int, ...]]:
     """The words of the family at (n, k): one chain of a `product` per shape
     and choice of n - k marked unary positions, over the shape's tokens as
-    1-tuples with the family's marks at those positions."""
+    1-tuples with the family's marks at those positions.  At k = n a shape's
+    one word is its cached word; a shape with too few unary positions for
+    the marks adds nothing."""
     info = _FAMILY[family]
     marks = tuple(_token(mark, 1) for mark in info["marks"])
 
     def products():
         for template, unary in _shape_words(n + 2, info["leaf"]):
-            slots = list(zip(template))
-            for positions in combinations(unary, n - k):
-                for position in positions:
-                    slots[position] = marks
-                yield product(*slots)
-                for position in positions:
-                    slots[position] = (template[position],)
+            if k == n:
+                yield (template,)
+            elif len(unary) >= n - k:
+                slots = list(zip(template))
+                for positions in combinations(unary, n - k):
+                    for position in positions:
+                        slots[position] = marks
+                    yield product(*slots)
+                    for position in positions:
+                        slots[position] = (template[position],)
     return chain.from_iterable(products())
 
 
@@ -615,11 +634,13 @@ def psi(t, family: str):
 
 def _toggle_word(w):
     """Flip the first pre-order non-root unary vertex weighted 1 or -1 (token
-    0 or 1): one scan and one splice; None if there is none."""
+    0 or 1): one scan and one list copy; None if there is none."""
     for i in range(1, len(w)):
         token = w[i]
         if token < 2:
-            return w[:i] + (1 - token,) + w[i + 1:]
+            w = list(w)
+            w[i] = 1 - token
+            return tuple(w)
     return None
 
 
@@ -687,7 +708,9 @@ def _psi_word(w, family: str):
 def _retag(w, x: int, shift: int, y: int, token: int):
     """w with x's out-degree shifted by `shift` and w[y] (y > x) made `token`."""
     tag, degree = _TOKENS[w[x]]
-    return w[:x] + (_token(tag, degree + shift),) + w[x + 1:y] + (token,) + w[y + 1:]
+    w = list(w)
+    w[x], w[y] = _token(tag, degree + shift), token
+    return tuple(w)
 
 
 # -- involution certificates --------------------------------------------------------

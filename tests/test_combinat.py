@@ -705,6 +705,51 @@ class TestShapesAndFixedSets:
             assert list(cb._fixed_words(n, family)) == list(map(cb._word, got))
 
 
+def _tagged(shape, tags):
+    """The nested tree of a nested shape, its vertices tagged from `tags` in
+    pre-order."""
+    tag = next(tags)
+    return (tag, tuple(_tagged(child, tags) for child in shape))
+
+
+def _reference_family_words(n, k, family):
+    """The family's words at (n, k) from the nested shapes: each shape, each
+    choice of n - k non-root unary positions, each product of marks there."""
+    info = cb._FAMILY[family]
+    words = []
+    for shape in _reference_tree_shapes(n + 2):
+        degrees = _degrees(shape)
+        unary = [i for i, d in enumerate(degrees) if i and d == 1]
+        for positions in combinations(unary, n - k):
+            for marks in product(info["marks"], repeat=n - k):
+                tags = ["1" if d else info["leaf"] for d in degrees]
+                for position, mark in zip(positions, marks):
+                    tags[position] = mark
+                words.append(cb._word(_tagged(shape, iter(tags))))
+    return words
+
+
+class TestFamilyStream:
+    """`_iter_family_trees` in the order of the nested shapes, whatever the
+    stream skips or short-cuts: the shapes with too few unary vertices for
+    the marks, and the unmarked words at k = n."""
+
+    @pytest.mark.parametrize("family,top", [("P", 6), ("Q", 5)])
+    def test_stream_matches_nested_shapes(self, family, top):
+        for n in range(top + 1):
+            for k in range(n + 1):
+                got = list(cb._iter_family_trees(n, k, family))
+                assert got == _reference_family_words(n, k, family), (family, n, k)
+
+    @pytest.mark.parametrize("family,top", [("P", 9), ("Q", 8)])
+    def test_unmarked_stream_is_the_cached_words(self, family, top):
+        leaf = cb._FAMILY[family]["leaf"]
+        for n in range(top + 1):
+            assert list(cb._iter_family_trees(n, n, family)) == [
+                w for w, _ in cb._shape_words(n + 2, leaf)
+            ], (family, n)
+
+
 class TestWords:
     """The pre-order words the certifier works on against the nested trees
     of the public functions: every element of P <= 6 and Q <= 5, every fixed
@@ -751,6 +796,25 @@ class TestWords:
             assert cb.is_fixed_tree(t, family) == expected, t
             fixed += expected
         assert fixed == 2 * sum(len(getattr(cb, f"fixed_set_{family}")(n)) for n in range(top + 1))
+
+    @pytest.mark.parametrize("tree, match", [
+        (("zz", ()), "unknown tree tag 'zz'"),  # a tag with no weight
+        (("1", (("q", ()), ("p", ()))), "unknown tree tag 'p'"),  # a bad leaf deep down
+        (("q", "x"), r"not a \(tag, children\) tree node: \('q', 'x'\)"),  # children a str
+        (("1", (("q", ()), 5)), r"not a \(tag, children\) tree node: 5"),  # a child not a pair
+        (("q",), r"not a \(tag, children\) tree node"),  # a node short of its children
+        ((3, ()), r"not a \(tag, children\) tree node"),  # a tag not a str
+    ])
+    def test_public_tree_functions_reject_malformed_trees(self, tree, match):
+        with pytest.raises(ValueError, match=match):
+            cb.tree_weight(tree)
+        # the other adapters read no weight, so only a malformed node is theirs
+        # to reject
+        if "node" in match:
+            for function in (cb.serialize_tree, partial(cb.is_fixed_tree, family="P"),
+                             partial(cb.psi, family="Q")):
+                with pytest.raises(ValueError, match=match):
+                    function(tree)
 
     def test_fixed_test_reads_out_degree_and_the_transparent_tag(self):
         # not the family's tags: any tag on a leaf or binary vertex is fine,

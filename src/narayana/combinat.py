@@ -378,6 +378,12 @@ _FAMILY = {
 }
 
 
+def _tree_family(family: str) -> dict:
+    if family not in _FAMILY:
+        raise ValueError(f"unknown family {family!r}")
+    return _FAMILY[family]
+
+
 # A tree as a word: its vertices in pre-order, each one shared token, a small
 # int that names the vertex's tag and out-degree.  Tokens are interned on first
 # use, so a token's number means something only within one process; 0 and 1
@@ -566,7 +572,7 @@ def _fixed_words(n: int, family: str) -> Iterator[tuple[int, ...]]:
     pre-order from each composition of the n - 2k spare vertices."""
     info = _FAMILY[family]
     transparent = info["transparent"]
-    chain = _token(transparent, 1) if transparent else None
+    spacer = _token(transparent, 1) if transparent else None
     root, binary, leaf = _token("1", 1), _token("1", 2), _token(info["leaf"], 0)
     for k in range(n // 2 + 1):
         extra = n - 2 * k
@@ -577,7 +583,7 @@ def _fixed_words(n: int, family: str) -> Iterator[tuple[int, ...]]:
             for comp in _compositions(extra, 2 * k + 1):
                 word = [root]
                 for length, token in zip(comp, core):
-                    word += [chain] * length
+                    word += [spacer] * length
                     word.append(token)
                 yield tuple(word)
 
@@ -608,8 +614,7 @@ def _is_fixed_word(w, family: str) -> bool:
 
 
 def is_fixed_tree(t, family: str) -> bool:
-    if family not in _FAMILY:
-        raise ValueError(f"unknown family {family!r}")
+    _tree_family(family)
     return _is_fixed_word(_word(t), family)
 
 
@@ -627,8 +632,7 @@ def psi(t, family: str):
     A tree that case (a) applies to is never fixed, so only the others are
     tested against the fixed set.
     """
-    if family not in _FAMILY:
-        raise ValueError(f"unknown family {family!r}")
+    _tree_family(family)
     return _tree(_psi_word(_word(t), family))
 
 
@@ -856,10 +860,8 @@ def _involution(family: str):
             FAMILY_D_CAP, _iter_flat_family_D, _is_unweighted,
             _phi, _path_key, serialize_path, lambda n: zip(_dyck_paths(n), repeat((0,) * n)),
         )
-    if family not in _FAMILY:
-        raise ValueError(f"unknown family {family!r}")
     return (
-        _FAMILY[family]["cap"], lambda n, k: _iter_family_trees(n, k, family),
+        _tree_family(family)["cap"], lambda n, k: _iter_family_trees(n, k, family),
         lambda w: _is_fixed_word(w, family), lambda w: _psi_word(w, family), _word_key,
         _serialize_word, lambda n: _fixed_words(n, family),
     )

@@ -426,6 +426,8 @@ class PolySeries:
             out = list(self.coeffs)
             out[0] = out[0] + other
             return PolySeries(out, self.order)
+        if not isinstance(other, PolySeries):
+            return NotImplemented
         self._check_order(other)
         return PolySeries(
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order
@@ -442,6 +444,8 @@ class PolySeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPolynomial)):
             return PolySeries(tuple(c * other for c in self.coeffs), self.order)
+        if not isinstance(other, PolySeries):
+            return NotImplemented
         self._check_order(other)
         n = self.order
         right = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero]
@@ -508,6 +512,8 @@ class PolySeries:
         return PolySeries(out, self.order)
 
     def __truediv__(self, other: "PolySeries") -> "PolySeries":
+        if not isinstance(other, PolySeries):
+            return NotImplemented
         return other.reciprocal(self)
 
     def sqrt(self) -> "PolySeries":

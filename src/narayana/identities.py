@@ -261,9 +261,8 @@ def identity_min_n(tag: str) -> int:
 
 def check_identity(tag: str, n: int) -> CheckResult:
     """Evaluate both sides of the tagged identity at n, exactly."""
-    if tag not in _REGISTRY:
-        raise ValueError(f"unknown identity tag {tag!r}")
-    min_n, lhs, rhs = _REGISTRY[tag]
+    min_n = identity_min_n(tag)
+    _, lhs, rhs = _REGISTRY[tag]
     if n < min_n:
         raise ValueError(f"identity {tag} requires n >= {min_n}, got {n}")
     return _result(tag, n, lhs(n), rhs(n))

@@ -211,6 +211,21 @@ class TestPolySeries:
     def test_shift_down_by_the_whole_order(self):
         assert PolySeries([0, 0, 7], 2).shift_down(2) == PolySeries([7], 0)
 
+    @pytest.mark.parametrize("operation", [
+        lambda s, v: s + v, lambda s, v: v + s, lambda s, v: s - v, lambda s, v: v - s,
+        lambda s, v: s * v, lambda s, v: v * s, lambda s, v: s / v, lambda s, v: v / s,
+    ], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"])
+    @pytest.mark.parametrize("other", [1.5, "x"])
+    def test_operand_it_does_not_take_raises_type_error(self, operation, other):
+        # as QPolynomial does: NotImplemented, so Python raises TypeError
+        with pytest.raises(TypeError):
+            operation(PolySeries([1, 2], 3), other)
+
+    def test_int_divisor_raises_type_error(self):
+        for divide in (lambda s: s / 2, lambda s: 2 / s):
+            with pytest.raises(TypeError):
+                divide(PolySeries([1, 2], 3))
+
     @given(st.lists(rationals, min_size=1, max_size=5), st.lists(rationals, min_size=1, max_size=5))
     @settings(max_examples=40)
     def test_mul_commutes(self, a, b):

@@ -153,6 +153,16 @@ class TestLemma:
         assert lemma_difference_argument(200)
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("wrong", [
+        lambda n, j, i: (j, i) == (2 * n + 1, 1),  # a power-sum weight: the engine fails
+        lambda n, j, i: (j, i) == (2, 0),  # binom(2, 0) != binom(2, 2): the symmetry check fails
+    ], ids=["engine", "symmetry"])
+    def test_difference_argument_fails_on_a_wrong_binomial(self, monkeypatch, n, wrong):
+        real = identities.binomial
+        monkeypatch.setattr(identities, "binomial", lambda j, i: real(j, i) + wrong(n, j, i))
+        assert not lemma_difference_argument(n)
+
     def test_window_reversal_symmetry(self):
         # even if f_n were nonzero, its construction forces the palindrome
         # f_n(q) = q^{2n+3} f_n(1/q); check the reversal map directly on the
@@ -1424,3 +1434,44 @@ class TestSideIndependence:
     def test_a_weight_read_from_its_closed_form_shows(self, monkeypatch):
         monkeypatch.setattr(combinat, "family_D_weight", combinat.family_D_closed_form)
         assert "expansion_term" in _weight_sides_shared("D")
+
+
+class TestGuards:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: combinat.enumerate_dyck(-1), ValueError, "enumerate_dyck: negative n"),
+        (lambda: catalan_half(-1), ValueError, "catalan_half: negative index -1"),
+        (lambda: sequences.narayana_number(-1, 0), ValueError,
+         "narayana_number: negative index -1"),
+        (lambda: narayana_poly(-1), ValueError, "narayana_poly: negative index -1"),
+        (lambda: legendre_poly(-1), ValueError, "legendre_poly: negative index -1"),
+        (lambda: series.catalan_series(-1), ValueError, "catalan_series: negative order"),
+        (lambda: series.omega_series(-1), ValueError, "omega_series: negative order"),
+        (lambda: series.omega_closed_form_check(0), ValueError,
+         "omega_closed_form_check: order must be >= 1"),
+        (lambda: series.omega_composition_check("first", 0), ValueError,
+         "omega_composition_check: order must be >= 1"),
+        (lambda: series.legendre_gf_check(-1), ValueError, "legendre_gf_check: negative order"),
+        (lambda: catalan_parity_scan(-1), ValueError, "catalan_parity_scan: negative limit"),
+        (lambda: QPolynomial.monomial(1, -1), ValueError, "monomial power must be nonnegative"),
+        (lambda: QPolynomial((1, 1), "q").constant_value(), ValueError,
+         "not a constant polynomial"),
+        (lambda: QPolynomial((1, 1), "q") ** -1, ValueError,
+         "polynomial power must be nonnegative"),
+        (lambda: exact_core.finite_difference_check(-1, 0), ValueError,
+         "finite_difference_check requires n >= 0 and r >= 0"),
+        (lambda: exact_core.PolySeries([], -1), ValueError, "series order must be nonnegative"),
+        (lambda: exact_core.PolySeries([1], 3).coefficient(4), IndexError,
+         "coefficient 4 beyond truncation order 3"),
+    ], ids=[
+        "enumerate_dyck", "catalan_half", "narayana_number", "narayana_poly", "legendre_poly",
+        "catalan_series", "omega_series", "omega_closed_form_check", "omega_composition_check",
+        "legendre_gf_check", "catalan_parity_scan", "monomial", "constant_value", "pow",
+        "finite_difference_check", "PolySeries", "PolySeries.coefficient",
+    ])
+    def test_out_of_range_argument_raises(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_edges_that_do_not_raise(self):
+        assert combinat.enumerate_family_P(3, 5) == []
+        assert sequences.assoc_narayana_poly(0) == QPolynomial.one("q")

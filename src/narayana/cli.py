@@ -206,10 +206,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _size(text: str) -> int:
-    """The type of --n and --max-n: a nonnegative integer."""
+    """The type of --n, --max-n and --k: a nonnegative integer in ASCII digits
+    alone, so no sign, space, underscore or other script's digit."""
     try:
-        n = int(text)
-    except ValueError:
+        n = int(text) if text.isascii() and text.isdigit() else -1
+    except ValueError:  # past the interpreter's limit on an int's digits
         n = -1
     if n < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="list family elements")
     p_enum.add_argument("--family", choices=("dyck", "D", "P", "Q"), required=True)
     p_enum.add_argument("--n", type=_size, required=True)
-    p_enum.add_argument("--k", type=int, default=None)
+    p_enum.add_argument("--k", type=_size, default=None)
     p_enum.set_defaults(func=_cmd_enumerate)
 
     return parser

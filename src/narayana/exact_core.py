@@ -3,8 +3,10 @@
 Everything here is pure and immutable: a rational coefficient is stored as
 an `int` when it is whole and as a `fractions.Fraction` otherwise (never a
 `Fraction` with denominator 1), polynomials are dense coefficient tuples, and
-series are fixed-order coefficient vectors.  No floating point anywhere:
-coefficient intake rejects a `float` or any other non-rational value.
+series are fixed-order coefficient vectors.  An exact division of integers
+gives its quotient as an `int` when it is whole, building a `Fraction` only
+for a value that is not.  No floating point anywhere: coefficient intake
+rejects a `float` or any other non-rational value.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ def _as_scalar(c) -> Scalar:
     raise TypeError(
         f"exact coefficient must be an int or a Fraction, got {type(c).__name__} {c!r}"
     )
+
+
+def _quotient(a: int, b: int) -> Scalar:
+    """a / b for integers a and b: the `int` quotient when b divides a, else
+    `Fraction(a, b)`.  b = 0 raises ZeroDivisionError."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def _mul_into(out: list, a, b, weight: Scalar = 1) -> None:
@@ -244,7 +253,7 @@ class QPolynomial:
         """Term-wise antiderivative with zero constant term."""
         out = [0]
         for i, c in enumerate(self.coeffs):
-            out.append(Fraction(c, i + 1))
+            out.append(_quotient(c, i + 1) if type(c) is int else Fraction(c, i + 1))
         return QPolynomial(out, self.var)
 
     def derivative(self) -> "QPolynomial":
@@ -298,12 +307,12 @@ def horner(base: QPolynomial, terms: Iterable) -> QPolynomial:
 
     The sum runs on one coefficient list: every term, a pair's scale included,
     is scaled by a common denominator d, so with an integer base each step is
-    `int` arithmetic, and the list is divided by d once at the end.  A zero
-    coefficient is skipped, and with d and the scale both 1 a coefficient is
-    added as it is.  The indeterminate follows `acc * base + a` step by step:
-    a constant partial product takes the next term's indeterminate, and two
-    non-constant operands in different indeterminates raise
-    IndeterminateMismatchError.
+    `int` arithmetic, and the list is divided by d once at the end, each
+    quotient an `int` when it is whole.  A zero coefficient is skipped, and
+    with d and the scale both 1 a coefficient is added as it is.  The
+    indeterminate follows `acc * base + a` step by step: a constant partial
+    product takes the next term's indeterminate, and two non-constant operands
+    in different indeterminates raise IndeterminateMismatchError.
     """
     polys = []
     for a in terms:
@@ -341,7 +350,7 @@ def horner(base: QPolynomial, terms: Iterable) -> QPolynomial:
                     acc[i] += c * sd if type(c) is int else c.numerator * (sd // c.denominator)
         while acc and not acc[-1]:
             acc.pop()
-    return QPolynomial(acc if d == 1 else [Fraction(c, d) for c in acc], var)
+    return QPolynomial(acc if d == 1 else [_quotient(c, d) for c in acc], var)
 
 
 def finite_difference_check(n: int, r: int) -> QPolynomial:
@@ -374,7 +383,9 @@ def _combine(terms, divisor: int = 1) -> QPolynomial:
             var = p.var if len(p.coeffs) > 1 else var
         acc.extend([0] * (len(f.coeffs) + len(g.coeffs) - 1 - len(acc)))
         _mul_into(acc, f.coeffs, g.coeffs, weight)
-    return QPolynomial([Fraction(c, divisor) for c in acc] if divisor != 1 else acc, var or "q")
+    if divisor != 1:
+        acc = [_quotient(c, divisor) if type(c) is int else Fraction(c, divisor) for c in acc]
+    return QPolynomial(acc, var or "q")
 
 
 class PolySeries:
@@ -497,12 +508,11 @@ class PolySeries:
         recurrence also uses (Knuth, TAOCP vol. 2, 4.7).  The constant
         coefficient d_0 must be a nonzero rational constant.
         """
-        d0 = Fraction(self._divisor_constant())
+        # y_m = (b s_m - sum b d_i y_{m-i}) / a for d_0 = a/b
+        a, b = self._divisor_constant().as_integer_ratio()
         if numerator is None:
             numerator = PolySeries.one(self.order)
         self._check_order(numerator)
-        # y_m = (b s_m - sum b d_i y_{m-i}) / a for d_0 = a/b
-        a, b = d0.numerator, d0.denominator
         terms = [(i, d) for i, d in enumerate(self.coeffs) if i and not d.is_zero]
         one, out = QPolynomial.one(), []
         for m, s in enumerate(numerator.coeffs):

@@ -10,17 +10,20 @@ the other) so a shared bug cannot self-certify.  Both sides may use
 helpers both sides of a check reach, as `TestSideIndependence` pins, are
 - `horner`, and through it `exact_core._mul_into`, for `coker_b1`, which
   sums both sides by Horner's rule;
-- `legendre_poly`, `QPolynomial.substitute`, `horner` and `_mul_into` for
-  `legendre_reflection`, which reflects one Legendre polynomial, as a
-  reflection symmetry must.
+- `legendre_poly`, `QPolynomial.substitute`, `horner`, `_mul_into` and
+  `_quotient` for `legendre_reflection`, which reflects one Legendre
+  polynomial, as a reflection symmetry must.
 
 Most sides are sums sum_k a_k(q) B(q)^(m-k) with B one of 1 +- q, q - 1,
 -1 - q, q(1 + q) or +-(1 +- q)^2.  Each is evaluated by `exact_core.horner`:
 acc = acc * B + a_k, highest power of B first, so a term costs one product by
 the 2-3-term B instead of a fresh power of B.  The sum runs on one coefficient
 list: the terms are scaled by one common denominator of their coefficients,
-every step is `int` arithmetic, and the list is divided once at the end.  Bare
-monomials c q^j are built directly, never as powers of q.
+every step is `int` arithmetic, and the list is divided once at the end, each
+quotient an `int` when it is whole.  Bare monomials c q^j are built directly,
+never as powers of q.  Every other division of integers whose value is usually
+whole (the Narayana numbers, (3.7)'s weights) goes through
+`exact_core._quotient`, which builds a `Fraction` only for a value that is not.
 
 Sums that recur have one body each:
 - `_EXPANSIONS` holds the paper's expansions (3.7)-(3.9) as family ->
@@ -51,7 +54,15 @@ from itertools import repeat, zip_longest
 from math import comb
 from operator import index, mul
 
-from .exact_core import IndeterminateMismatchError, QPolynomial, binomial, cached, horner, memo
+from .exact_core import (
+    IndeterminateMismatchError,
+    QPolynomial,
+    _quotient,
+    binomial,
+    cached,
+    horner,
+    memo,
+)
 from .sequences import (
     catalan,
     catalan_half,
@@ -96,7 +107,7 @@ def _catalan_rec(n: int) -> int:
 
 def _narayana_direct(n: int) -> list:
     """N_{n,1}, ..., N_{n,n} straight from binomials, bypassing narayana_poly."""
-    return [Fraction(binomial(n, k - 1) * binomial(n, k), n) for k in range(1, n + 1)]
+    return [_quotient(binomial(n, k - 1) * binomial(n, k), n) for k in range(1, n + 1)]
 
 
 # -- the individual identities ------------------------------------------------
@@ -124,7 +135,7 @@ def _at_q_squared(k: int) -> QPolynomial:
 # replaced module attribute is what runs once `clear_caches()` has emptied them.
 _EXPANSIONS = {
     "D": (_ONE_MINUS_Q, lambda n, k: (
-        Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1), narayana_poly(k)
+        _quotient((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1), narayana_poly(k)
     )),
     "P": (_MINUS_ONE_MINUS_Q, lambda n, k: (binomial(n, k), narayana_poly(k + 1))),
     "Q": (_MINUS_ONE_MINUS_Q_SQUARED, lambda n, k: (binomial(n, k), _at_q_squared(k + 1))),
@@ -198,9 +209,11 @@ _REGISTRY = {
     )), lambda n: horner(_Q_ONE_PLUS_Q, (
         binomial(n - 1, k) * catalan(k + 1) for k in range(n - 1, -1, -1)
     ))),
-    "new_expansion_c1": (0, lambda n: narayana_poly(n), lambda n: horner(_Q_MINUS_ONE, (
-        binomial(n + 1, k) * binomial(2 * n - k, n) for k in range(n, -1, -1)
-    )) * Fraction(1, n + 1)),
+    "new_expansion_c1": (0, lambda n: narayana_poly(n), lambda n: QPolynomial([
+        _quotient(c, n + 1) for c in horner(_Q_MINUS_ONE, (
+            binomial(n + 1, k) * binomial(2 * n - k, n) for k in range(n, -1, -1)
+        )).coeffs
+    ], "q")),
     "equivalent_b2": (0, lambda n: narayana_poly(n), lambda n: horner(_Q_MINUS_ONE, (
         Fraction(binomial(n + k, n - k) * binomial(2 * k, k), k + 1) for k in range(n + 1)
     ))),

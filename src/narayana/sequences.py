@@ -3,9 +3,7 @@ Pell/Fibonacci/Lucas under their recurrence initial conditions."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exact_core import QPolynomial, binomial, cached, horner, memo
+from .exact_core import QPolynomial, _quotient, binomial, cached, horner, memo
 
 # Recurrence initial values, indexed from -1.  Note the Fibonacci convention
 # here starts F_{-1} = 0, F_0 = 1, giving F_1 = 1, F_2 = 2 -- shifted by one
@@ -72,11 +70,11 @@ def legendre_poly(n: int, form: str = "standard") -> QPolynomial:
     if n < 0:
         raise ValueError(f"legendre_poly: negative index {n}")
     if form == "standard":
-        scale = Fraction(1, 2**n)
-        coeffs = [Fraction(0)] * (n + 1)
+        scale = 2**n
+        coeffs = [0] * (n + 1)
         for k in range(n // 2 + 1):
             c = (-1) ** k * binomial(n - k, k) * binomial(2 * n - 2 * k, n - k)
-            coeffs[n - 2 * k] = scale * c
+            coeffs[n - 2 * k] = _quotient(c, scale)
         return QPolynomial(coeffs, "x")
     if form == "shifted":
         return horner(QPolynomial((-1, 1), "x"), (

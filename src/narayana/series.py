@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import identities
-from .exact_core import PolySeries, QPolynomial, binomial, memo
+from .exact_core import PolySeries, QPolynomial, _quotient, binomial, memo
 from .identities import CheckResult, _result
 from .sequences import legendre_poly, narayana_poly
 
@@ -112,7 +112,7 @@ def lagrange_coefficient_check(n: int, k: int) -> CheckResult:
     if not 0 <= k <= n:
         raise ValueError(f"lagrange_coefficient_check requires 0 <= k <= n, got {n=} {k=}")
     lhs = _catalan_power(2 * k + 1, n - k)[n - k]
-    rhs = Fraction((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
+    rhs = _quotient((2 * k + 1) * binomial(2 * n + 1, n - k), 2 * n + 1)
     return _result("lagrange_coefficient", n, lhs, rhs)
 
 

@@ -564,13 +564,16 @@ USAGE_ERRORS = [
             ("involution", ("--family", "D"), "--n"),
             ("enumerate", ("--family", "P"), "--n"),
         )
-        for value in ("-1", "x")
+        # int() takes all but the first two; the option takes ASCII digits alone
+        for value in ("-1", "x", "1_0", " 3", "+3", "\u0663")
     ),
     (("verify", "--identity", "zeta", "--max-n", "3"), "zeta"),
     (("table", "--sequence", "motzkin", "--max-n", "3"), "motzkin"),
     (("verify", "--identity", "parity", "--max-n", "0"), "parity"),
     (("enumerate", "--family", "dyck", "--n", "2", "--k", "1"), "--k"),
     (("enumerate", "--family", "P", "--n", "3", "--k", "4"), "--k"),
+    *((("enumerate", "--family", "P", "--n", "3", "--k", value), "--k")
+      for value in ("1_0", " 3", "+3", "\u0663")),
 ]
 
 

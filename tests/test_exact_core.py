@@ -10,6 +10,7 @@ from narayana.exact_core import (
     QPolynomial,
     SeriesPreconditionError,
     _combine,
+    _quotient,
     binomial,
     finite_difference_check,
     horner,
@@ -46,6 +47,27 @@ class TestBinomial:
     @given(st.integers(1, 40), st.integers(0, 40))
     def test_pascal_recurrence(self, n, k):
         assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+
+class TestQuotient:
+    @given(st.integers(-10**30, 10**30), st.integers(-60, 60).filter(bool), st.booleans())
+    @example(-6, 3, False)
+    @example(6, -3, False)
+    @example(-7, 2, False)
+    @example(7, -2, False)
+    @example(0, -5, False)
+    def test_is_the_fraction_and_an_int_exactly_when_whole(self, a, b, whole):
+        a = a * b if whole else a
+        got = _quotient(a, b)
+        assert got == Fraction(a, b)
+        assert type(got) is (int if a % b == 0 else Fraction), (a, b, got)
+
+    @given(st.integers(-10**30, 10**30))
+    def test_zero_divisor_raises_as_fraction_does(self, a):
+        with pytest.raises(ZeroDivisionError):
+            Fraction(a, 0)
+        with pytest.raises(ZeroDivisionError):
+            _quotient(a, 0)
 
 
 class TestQPolynomial:

@@ -947,6 +947,19 @@ class TestAppRecurrence:
             assert result.equal, (tag, n)
 
 
+# the checks that still build a Fraction with denominator 1: equivalent_b2's
+# Fraction terms (horner/undivided's only catch), the scalar sides that tests
+# pin as Fractions, and the two series checks that do Fraction arithmetic (the
+# only two that do any, so no Python version's int operands add a check here).
+# Every other quotient of integers goes through exact_core._quotient, an int
+# when whole.
+_BUILDING_WHOLE_FRACTIONS = {
+    "alt_sum_310", "app_fibonacci", "app_lucas", "app_pell_even", "app_pell_odd",
+    "app_pow2", "app_q1_38", "app_qm1_39", "app_touchard", "equivalent_b2", "legendre_gf",
+    "omega_closed_form", "parity",
+}
+
+
 class TestIntegerFirstSums:
     """The expansions hand horner (scale, polynomial) pairs, so no summand is
     a polynomial product, and _app_recurrence sums in int with no Fraction
@@ -1002,6 +1015,35 @@ class TestIntegerFirstSums:
         # the counters are live: the separate body raises Fraction(2) to 2^j
         _reference_app_lucas(1)
         assert calls["__pow__"]
+
+    def test_whole_values_are_built_as_fractions_only_where_pinned(
+        self, monkeypatch, fresh_caches
+    ):
+        # every check of cli._CHECKS to n = 8 from cold caches, each Fraction
+        # with denominator 1 it builds counted; Python 3.12 and later build
+        # arithmetic results past __new__, through _from_coprime_ints
+        whole = Counter()
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                value = real(*args, **kwargs)
+                whole["built"] += value.denominator == 1
+                return value
+
+            return wrapper
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting(Fraction.__new__)))
+        if "_from_coprime_ints" in vars(Fraction):
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+                counting(vars(Fraction)["_from_coprime_ints"].__func__)))
+        building = set()
+        for name, (_, results) in _CHECKS.items():
+            exact_core.clear_caches()
+            whole.clear()
+            assert all(r.equal for r in results(_AUDIT_MAX_N)), name
+            if whole["built"]:
+                building.add(name)
+        assert building == _BUILDING_WHOLE_FRACTIONS
 
 
 def _sweep_entries(max_n: int) -> tuple:
@@ -1189,6 +1231,10 @@ _MUTANTS = {
     "_mul_into/cross": lambda real: partial(_without_term, real, at=lambda a, b: (1, 1)),
     "_mul_into/leading": lambda real: partial(
         _without_term, real, at=lambda a, b: (len(a) - 1, len(b) - 1)),
+    # exact_core's one exact division of integers, as floor division, and with
+    # a whole quotient by 3 one too large
+    "_quotient/floor": lambda real: lambda a, b: a // b,
+    "_quotient/whole_by_3": lambda real: lambda a, b: real(a, b) + (b == 3 and a % 3 == 0),
 }
 
 # helper -> the checks that fail for some n <= 8 under its mutant; up to
@@ -1269,6 +1315,16 @@ _CAUGHT_BY = {
         "omega_closed_form", "omega_composition_first", "omega_composition_second",
         "simons_aa",
     },
+    # only the Legendre series: every other quotient it serves at n <= 8 is
+    # whole, and legendre_reflection floors both its sides' P_n alike
+    "_quotient/floor": {"legendre_gf"},
+    # the Narayana numbers at n = 3, (3.7)'s weights and the Lagrange
+    # coefficients at n = 1, new_expansion_c1's division by n + 1 at n = 2, and
+    # the antiderivative's third coefficient
+    "_quotient/whole_by_3": {
+        "coker_a1", "coker_b1", "integral_representation", "lagrange_coefficient",
+        "main_37", "new_expansion_c1",
+    },
 }
 
 
@@ -1301,10 +1357,11 @@ class TestMutationAudit:
         target = (getattr(exact_core, owner) if owner
                   else identities if hasattr(identities, name) else exact_core)
         real = getattr(target, name)
-        # binomial is patched in every module that binds it, so the series
-        # and sequences callers run the mutant too
-        binders = (combinat, exact_core, identities, sequences, series)
-        for module in binders if name == "binomial" else (target,):
+        # binomial and _quotient are patched in every module that binds them,
+        # so the series and sequences callers run the mutant too
+        binders = [module for module in (combinat, exact_core, identities, sequences, series)
+                   if hasattr(module, name)]
+        for module in binders if name in ("binomial", "_quotient") else (target,):
             monkeypatch.setattr(module, name, _MUTANTS[helper](real))
         assert _failing_checks() == _CAUGHT_BY[helper]
 
@@ -1360,7 +1417,9 @@ _RING = {"binomial", "_as_scalar"} | {f"QPolynomial.{name}" for name in (
 # overlaps the identities docstring lists, and none for every other tag
 _SHARED = {
     "coker_b1": {"horner", "_mul_into"},
-    "legendre_reflection": {"horner", "_mul_into", "QPolynomial.substitute", "legendre_poly"},
+    "legendre_reflection": {
+        "horner", "_mul_into", "_quotient", "QPolynomial.substitute", "legendre_poly",
+    },
 }
 
 

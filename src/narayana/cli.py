@@ -166,7 +166,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_involution(args) -> int:
-    report = combinat.involution_verify(args.family, args.n, collect_pairs=args.emit_pairs)
+    report = combinat.involution_verify(args.family, args.n)
     print(
         f"family={report.family} n={report.n} "
         f"elements={report.size} fixed={report.fixed_count}"
@@ -177,15 +177,15 @@ def _cmd_involution(args) -> int:
         f"total_weight={_text(report.total_weight)} "
         f"fixed_weight={_text(report.fixed_weight)}"
     )
-    if args.emit_pairs:
-        for a, b in report.pairs:
-            print(f"pair: {a} <-> {b}")
     if not report.certified:
         if report.counterexample:
             print(f"counterexample: {report.counterexample}", file=sys.stderr)
         failed = " ".join(f"{name}={count}" for name, count in report.failures.items() if count)
         print(f"failures: {failed}", file=sys.stderr)
         return EXIT_MISMATCH
+    if args.emit_pairs:  # only a certified stream's pairs
+        for a, b in combinat.serialized_pairs(args.family, args.n):
+            print(f"pair: {a} <-> {b}")
     return EXIT_OK
 
 
@@ -207,12 +207,9 @@ def _cmd_enumerate(args) -> int:
 
 def _size(text: str) -> int:
     """The type of --n, --max-n and --k: a nonnegative integer in ASCII digits
-    alone, so no sign, space, underscore or other script's digit."""
-    try:
-        n = int(text) if text.isascii() and text.isdigit() else -1
-    except ValueError:  # past the interpreter's limit on an int's digits
-        n = -1
-    if n < 0:
+    alone, by the rule NARAYANA_CAP is read by."""
+    n = combinat._ascii_digits(text)
+    if n is None:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return n
 

@@ -60,16 +60,23 @@ class FixedElementError(ValueError):
     """An involution was applied to an element of its fixed set."""
 
 
+def _ascii_digits(text: str) -> int | None:
+    """text's value if it is ASCII digits alone (no sign, space, underscore or
+    other script's digit), else None: how NARAYANA_CAP and the CLI's sizes read."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # past the interpreter's limit on an int's digits
+        return None
+
+
 def _cap(default: int) -> int:
     env = os.environ.get("NARAYANA_CAP")
     if not env:
         return default
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ValueError(f"NARAYANA_CAP must be an integer, got {env!r}") from None
-    if cap < 0:
-        raise ValueError(f"NARAYANA_CAP must be nonnegative, got {env!r}")
+    cap = _ascii_digits(env)
+    if cap is None:
+        rule = "nonnegative" if _ascii_digits(env.removeprefix("-")) is not None else "an integer"
+        raise ValueError(f"NARAYANA_CAP must be {rule}, got {env!r}")
     return max(default, cap)
 
 
@@ -725,28 +732,12 @@ CERTIFICATES = (
 )
 
 
-class InvolutionReport:
-    """One family's certificates at size n; compared and shown field by field."""
+class InvolutionReport(namedtuple("InvolutionReport", "family n size fixed_count certificates "
+                                  "total_weight fixed_weight counterexample failures")):
+    """One family's certificates at size n.  `failures` counts per certificate its
+    failing elements, the entries two multisets differ by, or the weights' exponents."""
 
-    def __init__(self, family: str, n: int, size: int, fixed_count: int, certificates: dict,
-                 total_weight: QPolynomial, fixed_weight: QPolynomial,
-                 pairs: list | None = None, counterexample: str | None = None,
-                 failures: dict | None = None):
-        self.family, self.n, self.size, self.fixed_count = family, n, size, fixed_count
-        self.certificates = certificates
-        self.total_weight, self.fixed_weight = total_weight, fixed_weight
-        self.pairs = [] if pairs is None else pairs
-        self.counterexample = counterexample
-        # certificate -> failing elements (self_inverse, weight_reversal), entries
-        # by which two multisets differ (multiset_closure, fixed_set_match), or
-        # exponents at which the two weights differ (total_weight)
-        self.failures = {} if failures is None else failures
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"InvolutionReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    __slots__ = ()
 
     @property
     def certified(self) -> bool:
@@ -763,15 +754,14 @@ def _tally_poly(tally: Counter) -> QPolynomial:
     return QPolynomial([tally[x] for x in range(max(tally, default=-1) + 1)], "q")
 
 
-def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixed,
-             collect_pairs=False):
+def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixed):
     """The five certificates in one pass over `elements` (any iterable).
 
     `key(e)` is e's weight as an integer (coefficient, exponent); weights
     are tallied as exponent -> coefficient and become polynomials once, at
     the end.  The multisets compare the elements themselves, which is as
     strict as comparing their (injective) serialisations; `serialize` is
-    only called for the counterexample and the pairs.
+    called only for the counterexample, so never on a passing run.
 
     Each pair {e, img} is worked once, by the member met first: it computes
     img = apply(e), key(img) and apply(img).  When both checks pass, img's
@@ -789,7 +779,6 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
     total, fixed_weight = Counter(), Counter()  # exponent -> coefficient
     size = fixed_count = self_inverse = weight_reversal = 0
     counterexample = None
-    pairs, seen_pairs = [], set()
     for size, e in enumerate(elements, 1):
         if is_fixed(e):
             coeff, exponent = key(e)
@@ -821,11 +810,6 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
             self_inverse += not inverse_ok
             if not counterexample:
                 counterexample = serialize(e)
-        if collect_pairs:
-            pair = frozenset((e, img))
-            if pair not in seen_pairs:
-                seen_pairs.add(pair)
-                pairs.append((serialize(e), serialize(img)))
     for img, due in open_pairs.items():
         partner = apply(img)
         coeff, exponent = key(partner)
@@ -845,8 +829,7 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
     }
     return InvolutionReport(
         family, n, size, fixed_count, {name: not failures[name] for name in CERTIFICATES},
-        _tally_poly(total), _tally_poly(fixed_weight),
-        pairs=pairs, counterexample=counterexample, failures=failures,
+        _tally_poly(total), _tally_poly(fixed_weight), counterexample, failures,
     )
 
 
@@ -867,16 +850,14 @@ def _involution(family: str):
     )
 
 
-def involution_verify(family: str, n: int, collect_pairs: bool = False) -> InvolutionReport:
+def involution_verify(family: str, n: int) -> InvolutionReport:
     """Run all five involution certificates over the full family at size n:
     multiset closure, elementwise self-inverse, weight reversal, fixed-set
     match, and total weight equal to the fixed-set weight."""
     cap, elements, is_fixed, apply, key, serialize, expected_fixed = _involution(family)
     _check_cap(n, cap, f"involution_verify({family})")
-    return _certify(
-        family, n, chain.from_iterable(map(elements, repeat(n), range(n + 1))), is_fixed,
-        apply, key, serialize, expected_fixed(n), collect_pairs,
-    )
+    stream = chain.from_iterable(map(elements, repeat(n), range(n + 1)))
+    return _certify(family, n, stream, is_fixed, apply, key, serialize, expected_fixed(n))
 
 
 def dbar_involution_check(n: int) -> InvolutionReport:
@@ -895,3 +876,24 @@ def serialized_family(family: str, n: int, ks) -> Iterator[str]:
     cap, elements, _, _, _, serialize, _ = _involution(family)
     _check_cap(n, cap, f"enumerate_family_{family}")
     return map(serialize, chain.from_iterable(map(elements, repeat(n), ks)))
+
+
+def serialized_pairs(family: str, n: int) -> Iterator[tuple[str, str]]:
+    """The serialised pairs (e, apply(e)) of family D, P or Q at size n, from a
+    second walk of the stream `involution_verify` certifies: each at its first
+    member e, a later visit to an open image counted down as in `_certify`, so
+    only the images still due are held; on a certified stream, its pairs in order."""
+    cap, elements, is_fixed, apply, _, serialize, _ = _involution(family)
+    _check_cap(n, cap, f"involution_verify({family})")
+    open_pairs = {}  # image -> occurrences still due
+    for e in chain.from_iterable(map(elements, repeat(n), range(n + 1))):
+        if is_fixed(e):
+            continue
+        due = open_pairs.pop(e, 0)
+        if due:
+            if due > 1:
+                open_pairs[e] = due - 1
+            continue
+        img = apply(e)
+        open_pairs[img] = open_pairs.get(img, 0) + 1
+        yield serialize(e), serialize(img)

@@ -418,6 +418,16 @@ class TestInvolution:
             f"failures: weight_reversal={report.size - report.fixed_count}\n"
         )
 
+    def test_failing_run_prints_no_pairs(self, capsys, monkeypatch):
+        # pairs come only from a certified stream: the summary and the
+        # diagnostics stay, and no pair line is printed
+        monkeypatch.setattr(combinat, "_phi", lambda p: p)
+        _, summary, diagnostics = run(capsys, "involution", "--family", "D", "--n", "3")
+        code, out, err = run(capsys, "involution", "--family", "D", "--n", "3", "--emit-pairs")
+        assert code == EXIT_MISMATCH
+        assert (out, err) == (summary, diagnostics)
+        assert "certificate weight_reversal: FAIL" in out and "pair:" not in out
+
     def test_image_on_the_fixed_set_is_a_reported_failure(self, capsys, monkeypatch):
         # psi is undefined on the fixed tree a mutant sends w0 to, so
         # checking that image's image raises inside the certifier, which
@@ -527,6 +537,9 @@ class TestEnumerate:
     @pytest.mark.parametrize("cap, err", [
         ("abc", "enumerate: NARAYANA_CAP must be an integer, got 'abc'\n"),
         ("-5", "enumerate: NARAYANA_CAP must be nonnegative, got '-5'\n"),
+        # int() reads these as 100 or 60; the cap takes ASCII digits alone, as --n does
+        *((cap, f"enumerate: NARAYANA_CAP must be an integer, got {cap!r}\n")
+          for cap in ("1_00", " 60 ", "+60", "\u0666\u0660")),
     ])
     def test_bad_cap_variable_is_usage_error(self, capsys, monkeypatch, cap, err):
         monkeypatch.setenv("NARAYANA_CAP", cap)

@@ -349,10 +349,10 @@ class TestInvolutions:
             assert report.certified, (family, n, report.certificates)
 
     def test_pair_collection(self):
-        report = cb.involution_verify("P", 2, collect_pairs=True)
+        report = cb.involution_verify("P", 2)
         assert report.certified
         # every moving element appears in exactly one pair
-        assert 2 * len(report.pairs) == report.size - report.fixed_count
+        assert 2 * len(list(cb.serialized_pairs("P", 2))) == report.size - report.fixed_count
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -467,8 +467,8 @@ class TestInvolutions:
 
         monkeypatch.setattr(cb, "_tree", nested)
         for family, n in (("P", 6), ("Q", 5)):
-            report = cb.involution_verify(family, n, collect_pairs=True)
-            assert report.certified and report.pairs, family
+            report = cb.involution_verify(family, n)
+            assert report.certified and list(cb.serialized_pairs(family, n)), family
 
 
 def _reference_toggle(t):
@@ -862,7 +862,8 @@ class TestSerialization:
 def _reference_certify(family, n, elements, is_fixed, apply, weight, serialize, expected_fixed,
                        collect_pairs=False):
     """The serialise-and-QPolynomial certifier the one-pass `_certify`
-    replaced, kept as the reference it must agree with."""
+    replaced, kept as the reference it must agree with: its report, and the
+    pairs, de-duplicated by their serialisations, if `collect_pairs`."""
     fixed = [e for e in elements if is_fixed(e)]
     moving = [e for e in elements if not is_fixed(e)]
     certs = {
@@ -902,19 +903,19 @@ def _reference_certify(family, n, elements, is_fixed, apply, weight, serialize, 
         fixed_weight = fixed_weight + weight(e)
     if total != fixed_weight:
         certs["total_weight"] = False
-    return cb.InvolutionReport(
-        family, n, len(elements), len(fixed), certs, total, fixed_weight,
-        pairs=pairs, counterexample=counterexample,
+    report = cb.InvolutionReport(
+        family, n, len(elements), len(fixed), certs, total, fixed_weight, counterexample, None,
     )
+    return report, pairs
 
 
 def _is_all_ones(p):
     return all(t == 0 for t in p[1])
 
 
-def _reference_report(family, n, collect_pairs):
+def _reference_report(family, n, collect_pairs=False):
     """The reference certifier on lists built as the old `involution_verify`
-    and `dbar_involution_check` built them."""
+    and `dbar_involution_check` built them: its report and pairs."""
     if family == "Dbar":
         return _reference_certify(
             "Dbar", n, cb.dbar_elements(n), _is_all_ones, cb.phi, cb.path_weight,
@@ -937,7 +938,7 @@ def _reference_report(family, n, collect_pairs):
 
 def _report_fields(report):
     """Every field but `failures`, with each weight's coefficient types."""
-    fields = dict(vars(report))
+    fields = report._asdict()
     del fields["failures"]
     for name in ("total_weight", "fixed_weight"):
         poly = fields[name]
@@ -964,19 +965,41 @@ class TestCertifier:
     @pytest.mark.parametrize("collect_pairs", [False, True])
     @pytest.mark.parametrize("family,top", [("D", 5), ("P", 6), ("Q", 5), ("Dbar", 6)])
     def test_matches_reference(self, family, top, collect_pairs):
+        # with `collect_pairs`, the second walk's pairs are the reference's too;
+        # D-bar has no walk, and its pairs cover every element once (no fixed
+        # points)
         for n in range(1 if family == "Dbar" else 0, top + 1):
             if family == "Dbar":
                 report = cb._certify(
                     "Dbar", n, cb.dbar_elements(n), _is_all_ones, cb.phi, cb._path_key,
-                    cb.serialize_path, [], collect_pairs,
+                    cb.serialize_path, [],
                 )
-                if not collect_pairs:
-                    assert _report_fields(cb.dbar_involution_check(n)) == _report_fields(report)
+                assert _report_fields(cb.dbar_involution_check(n)) == _report_fields(report)
             else:
-                report = cb.involution_verify(family, n, collect_pairs=collect_pairs)
-            expected = _reference_report(family, n, collect_pairs)
+                report = cb.involution_verify(family, n)
+            expected, pairs = _reference_report(family, n, collect_pairs)
             assert _report_fields(report) == _report_fields(expected), (family, n)
             assert report.failures == NO_FAILURES, (family, n)
+            if not collect_pairs:
+                continue
+            if family == "Dbar":
+                assert 2 * len(pairs) == report.size, n
+            else:
+                assert list(cb.serialized_pairs(family, n)) == pairs, (family, n)
+
+    @pytest.mark.parametrize("family,n", [("D", 5), ("Dbar", 6), ("P", 6), ("Q", 5)])
+    def test_passing_run_serialises_nothing(self, monkeypatch, family, n):
+        # `_certify` is handed the serialiser for the counterexample alone
+        def refuse(e):
+            raise AssertionError(f"serialised {e!r} on a passing run")
+
+        monkeypatch.setattr(cb, "serialize_path", refuse)
+        monkeypatch.setattr(cb, "_serialize_word", refuse)
+        report = (cb.dbar_involution_check(n) if family == "Dbar"
+                  else cb.involution_verify(family, n))
+        assert report.certified and report.size > 900, (family, n)
+        with pytest.raises(AssertionError, match="serialised"):  # the patch is live
+            next(cb.serialized_pairs(family.removesuffix("bar"), n))
 
     @pytest.mark.parametrize("family,top", [("D", 5), ("Dbar", 6), ("P", 6), ("Q", 5)])
     def test_total_weight_is_the_plain_sum_of_the_stream(self, family, top):
@@ -987,27 +1010,26 @@ class TestCertifier:
             assert report.total_weight == _streamed_weight(family, n), (family, n)
 
     def test_report_record(self):
-        # the constructor `_reference_certify` uses; fresh pairs and failures
-        # per report; fields kept in order, compared and shown one by one
+        # a namedtuple, as the other records are: fields in order, compared
+        # and shown one by one, every field given, no per-instance dict
         zero = QPolynomial.zero("q")
-        a = cb.InvolutionReport("P", 2, 3, 1, {}, zero, zero, counterexample="q")
-        b = cb.InvolutionReport("P", 2, 3, 1, {}, zero, zero, pairs=[], counterexample="q")
-        assert list(vars(a)) == [
+        a = cb.InvolutionReport("P", 2, 3, 1, {}, zero, zero, "q", {})
+        b = cb.InvolutionReport("P", 2, 3, 1, {}, zero, zero, counterexample="q", failures={})
+        assert cb.InvolutionReport._fields == (
             "family", "n", "size", "fixed_count", "certificates", "total_weight",
-            "fixed_weight", "pairs", "counterexample", "failures",
-        ]
-        assert a == b and a.pairs == [] and a.failures == {}
-        a.pairs.append(("x", "y"))
-        a.failures["self_inverse"] = 1
-        assert b.pairs == [] and b.failures == {} and a != b
-        assert cb.InvolutionReport("P", 2, 3, 1, {}, zero, zero).pairs is not b.pairs
-        assert a != ("P", 2, 3, 1, {}, zero, zero)
+            "fixed_weight", "counterexample", "failures",
+        )
+        assert a == b and a == ("P", 2, 3, 1, {}, zero, zero, "q", {})
+        assert a != b._replace(failures={"self_inverse": 1})
+        assert not hasattr(a, "__dict__") and not hasattr(a, "pairs")
+        with pytest.raises(TypeError):
+            cb.InvolutionReport("P", 2, 3, 1, {}, zero, zero)
         assert repr(b) == (
             "InvolutionReport(family='P', n=2, size=3, fixed_count=1, certificates={}, "
-            f"total_weight={zero!r}, fixed_weight={zero!r}, pairs=[], counterexample='q', "
+            f"total_weight={zero!r}, fixed_weight={zero!r}, counterexample='q', "
             "failures={})"
         )
-        assert b.certified
+        assert b.certified and not b._replace(certificates={"self_inverse": False}).certified
 
     def test_weights_are_monomials_of_their_keys(self):
         for p in cb.dbar_elements(3):
@@ -1060,12 +1082,10 @@ def _psi_table_P(n):
 
 
 def _report_against_reference(family, n):
-    """`involution_verify`'s report, checked with pairs and without against
-    the reference certifier; the one without pairs is returned."""
-    for collect_pairs in (True, False):
-        report = cb.involution_verify(family, n, collect_pairs=collect_pairs)
-        expected = _reference_report(family, n, collect_pairs)
-        assert _report_fields(report) == _report_fields(expected), collect_pairs
+    """`involution_verify`'s report, checked against the reference
+    certifier's, and returned."""
+    report = cb.involution_verify(family, n)
+    assert _report_fields(report) == _report_fields(_reference_report(family, n)[0])
     return report
 
 
@@ -1206,11 +1226,17 @@ class TestCertificateMutants:
                 if not cb._is_unweighted(p):
                     yield p
 
+        single = list(cb.serialized_pairs("D", 3))
         monkeypatch.setattr(cb, "iter_family_D", doubled)
         monkeypatch.setattr(cb, "_iter_flat_family_D", doubled_flat)
         report = _report_against_reference("D", 3)
         assert report.failures == NO_FAILURES and report.size == 2 * 101 - 5
         assert report.total_weight == _streamed_weight("D", 3)
+        # the second walk opens each pair at both copies of its first member,
+        # as the certifier does: one line per first-member occurrence
+        pairs = list(cb.serialized_pairs("D", 3))
+        assert len(pairs) == 2 * len(single) and 2 * len(pairs) == report.size - report.fixed_count
+        assert pairs[::2] == pairs[1::2] == single == _reference_report("D", 3, True)[1]
         # p goes to a path one semilength longer with its true image's
         # weight, and back; both copies of p open that image, and neither
         # copy of q = phi(p) finds p sent back
@@ -1247,7 +1273,7 @@ class TestCertificateMutants:
         # the five certificates say that phi or psi is a sign-reversing
         # involution on the stream it is fed, not that the stream is the whole
         # family: with one moving pair dropped or fed twice they all pass, and
-        # only the element count moves.  A run-time count check (ROADMAP item 4)
+        # only the element count moves.  A run-time count check (ROADMAP item 5)
         # would flip these to failures.  A dropped fixed element still fails
         # fixed_set_match and total_weight, which shows that the edit is live
         real = cb._certify

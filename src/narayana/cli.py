@@ -128,6 +128,16 @@ def _rows(value, start=0, cap=TABLE_CAP):
     return cap, lambda max_n: ((n, value(n)) for n in range(start, max_n + 1))
 
 
+def _schroeder(max_n: int):
+    """(n, N_n(2)) for n <= max_n, the large Schroeder numbers, from
+    (n + 1) r_n = 3(2n - 1) r_{n-1} - (n - 2) r_{n-2} with exact division,
+    r_0 = 1 and r_{-1} = 1 (so r_1 = 2): no Narayana polynomial is built."""
+    before, r = 1, 1
+    for n in range(max_n + 1):
+        yield n, r
+        before, r = r, (3 * (2 * n + 1) * r - (n - 1) * before) // (n + 2)
+
+
 def _coefficients(p: QPolynomial, n: int) -> tuple:
     return tuple(p.coefficient(i) for i in range(n + 1))
 
@@ -145,7 +155,7 @@ _SEQUENCES = {
         cap=ROW_TABLE_CAP,
     ),
     "catalan": _rows(lambda n: sequences.catalan(n)),
-    "schroeder": _rows(lambda n: sequences.narayana_poly(n)(2)),
+    "schroeder": (TABLE_CAP, _schroeder),
     "pell": _rows(lambda n: sequences.recurrence_seq("pell", n), start=-1),
     "fibonacci": _rows(lambda n: sequences.recurrence_seq("fibonacci", n), start=-1),
     "lucas": _rows(lambda n: sequences.recurrence_seq("lucas", n), start=-1),

@@ -26,12 +26,14 @@ words at one choice of marked positions are one `product` over the shape's
 cached unmarked word with the marks at those positions.  psi edits at most
 two tokens, since a subtree is a slice and its rightmost leaf its last token.
 
-Each family reaches the certifier as one chain of C iterators (D's zips,
-P's and Q's products), no Python frame resumed per element.  A shape with
-fewer non-root unary vertices than the n - k marks is skipped, and at k = n
-a shape's one element is its cached word.  phi's flip and psi's edits cost
-one list copy of the tags or word each.  A pair that closes in the stream
-leaves no weight tally: its +w and -w cancel.
+Each family streams as one chain of C iterators (D's zips, P's and Q's
+products), no Python frame resumed per element, in two orders of the same
+elements: k outermost for enumeration and `serialized_pairs`, and pair-local
+for the certifier, so few pairs are open at once: D and D-bar by Dyck word
+(phi keeps it), P and Q by shape (psi's toggle adds or removes a mark).  A
+shape with fewer unary vertices than the marks is skipped.  phi's flip and
+psi's edits cost one list copy of the tags or word each.  A pair that
+closes in the stream leaves no weight tally: its +w and -w cancel.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import os
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import partial
-from itertools import accumulate, chain, combinations, product, repeat
+from itertools import accumulate, chain, combinations, product, repeat, starmap
 from math import prod
 
 from . import identities, series
@@ -326,6 +328,42 @@ def dbar_elements(n: int) -> list:
     return [p for k in range(n + 1) for p in _flat_paths(n, k, ("UD" * k,), (-1,))]
 
 
+def _arches(steps: str) -> list[str]:
+    """A Dyck word's top-level arches, left to right."""
+    heights = accumulate(1 if step == "U" else -1 for step in steps)
+    ends = [i for i, height in enumerate(heights, 1) if not height]
+    return [steps[start:end] for start, end in zip([0, *ends], ends)]
+
+
+@cached
+def _arch_splits_D(arch: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """An arch of a family-D path split into one tag space per up-step: an
+    insertion, every up-step 0 or -1, or a base step over its inner arches
+    split alike, tagged 1 (a peak) when each of those is an insertion."""
+    insertion = ((0, -1),) * (len(arch) // 2)
+    return (insertion, *(
+        ((1,) if all(part[0] == (0, -1) for part in parts) else (0,), *chain.from_iterable(parts))
+        for parts in product(*map(_arch_splits_D, _arches(arch[1:-1])))
+    ))
+
+
+@cached
+def _arch_splits_Dbar(arch: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """An arch of a D-bar path split alike: an insertion, all -1, or a peak, 1 over -1s."""
+    insertion = ((-1,),) * (len(arch) // 2)
+    return insertion, ((1,), *insertion[1:])
+
+
+def _word_paths(n: int, arch_splits) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Family D (or D-bar) at size n, one zip per Dyck word over its arches'
+    splits.  The base arches are those tagged 1 and all that enclose them, so
+    each element comes once; phi keeps the word, so pairs close in its block."""
+    def block(w):
+        spaces = map(chain.from_iterable, product(*map(arch_splits, _arches(w))))
+        return zip(repeat(w), chain.from_iterable(starmap(product, spaces)))
+    return chain.from_iterable(map(block, _dyck_paths(n)))
+
+
 # -- plane trees -----------------------------------------------------------------
 
 
@@ -496,17 +534,16 @@ def _shape_words(vertices: int, leaf: str) -> tuple[tuple[tuple[int, ...], tuple
     )
 
 
-def _iter_family_trees(n: int, k: int, family: str) -> Iterator[tuple[int, ...]]:
-    """The words of the family at (n, k): one chain of a `product` per shape
-    and choice of n - k marked unary positions, over the shape's tokens as
-    1-tuples with the family's marks at those positions.  At k = n a shape's
-    one word is its cached word; a shape with too few unary positions for
-    the marks adds nothing."""
+def _tree_words(n: int, family: str, ks) -> Iterator[tuple[int, ...]]:
+    """The family's words at size n, shape by shape, each shape's at every k
+    of `ks`: a `product` per shape, k and choice of n - k marked unary
+    positions, over the shape's tokens as 1-tuples, marks at those positions.
+    At k = n a shape's one word is its cached word; one too short adds nothing."""
     info = _FAMILY[family]
     marks = tuple(_token(mark, 1) for mark in info["marks"])
 
     def products():
-        for template, unary in _shape_words(n + 2, info["leaf"]):
+        for (template, unary), k in product(_shape_words(n + 2, info["leaf"]), ks):
             if k == n:
                 yield (template,)
             elif len(unary) >= n - k:
@@ -518,6 +555,11 @@ def _iter_family_trees(n: int, k: int, family: str) -> Iterator[tuple[int, ...]]
                     for position in positions:
                         slots[position] = (template[position],)
     return chain.from_iterable(products())
+
+
+def _iter_family_trees(n: int, k: int, family: str) -> Iterator[tuple[int, ...]]:
+    """The words of the family at (n, k); called k by k, the enumeration order."""
+    return _tree_words(n, family, (k,))
 
 
 def _enumerate_family(n: int, k: int, family: str) -> list:
@@ -835,29 +877,31 @@ def _certify(family, n, elements, is_fixed, apply, key, serialize, expected_fixe
 
 def _involution(family: str):
     """The row of involution family D, P or Q: (cap, elements(n, k), is_fixed,
-    apply, key, serialize, expected_fixed(n)).  Built per call, and P's and
-    Q's closures look their functions up when called, so a module attribute
+    apply, key, serialize, expected_fixed(n), local(n)): `elements` in
+    enumeration order, `local` all of them pair-locally.  Built per call, and
+    the closures look their functions up when called, so a module attribute
     replaced since import is what runs."""
     if family == "D":
         return (
             FAMILY_D_CAP, _iter_flat_family_D, _is_unweighted,
             _phi, _path_key, serialize_path, lambda n: zip(_dyck_paths(n), repeat((0,) * n)),
+            lambda n: _word_paths(n, _arch_splits_D),
         )
     return (
         _tree_family(family)["cap"], lambda n, k: _iter_family_trees(n, k, family),
         lambda w: _is_fixed_word(w, family), lambda w: _psi_word(w, family), _word_key,
         _serialize_word, lambda n: _fixed_words(n, family),
+        lambda n: _tree_words(n, family, range(n + 1)),
     )
 
 
 def involution_verify(family: str, n: int) -> InvolutionReport:
     """Run all five involution certificates over the full family at size n:
     multiset closure, elementwise self-inverse, weight reversal, fixed-set
-    match, and total weight equal to the fixed-set weight."""
-    cap, elements, is_fixed, apply, key, serialize, expected_fixed = _involution(family)
+    match, and total weight equal to the fixed-set weight, in pair-local order."""
+    cap, _, is_fixed, apply, key, serialize, expected_fixed, local = _involution(family)
     _check_cap(n, cap, f"involution_verify({family})")
-    stream = chain.from_iterable(map(elements, repeat(n), range(n + 1)))
-    return _certify(family, n, stream, is_fixed, apply, key, serialize, expected_fixed(n))
+    return _certify(family, n, local(n), is_fixed, apply, key, serialize, expected_fixed(n))
 
 
 def dbar_involution_check(n: int) -> InvolutionReport:
@@ -865,25 +909,28 @@ def dbar_involution_check(n: int) -> InvolutionReport:
     weight zero (the alternating Catalan-coefficient sum)."""
     if n < 1:
         raise ValueError("dbar_involution_check requires n >= 1")
-    _, _, is_fixed, apply, key, serialize, _ = _involution("D")
-    return _certify("Dbar", n, dbar_elements(n), is_fixed, apply, key, serialize, [])
+    _check_cap(n, FAMILY_D_CAP, "dbar_elements")
+    _, _, is_fixed, apply, key, serialize, _, _ = _involution("D")
+    stream = _word_paths(n, _arch_splits_Dbar)
+    return _certify("Dbar", n, stream, is_fixed, apply, key, serialize, [])
 
 
 def serialized_family(family: str, n: int, ks) -> Iterator[str]:
     """The serialisations of the elements of family D, P or Q at size n, for
     each k of `ks` in turn.  The cap is checked on the call, before any
     element is built; the elements are then produced one at a time."""
-    cap, elements, _, _, _, serialize, _ = _involution(family)
+    cap, elements, _, _, _, serialize, _, _ = _involution(family)
     _check_cap(n, cap, f"enumerate_family_{family}")
     return map(serialize, chain.from_iterable(map(elements, repeat(n), ks)))
 
 
 def serialized_pairs(family: str, n: int) -> Iterator[tuple[str, str]]:
     """The serialised pairs (e, apply(e)) of family D, P or Q at size n, from a
-    second walk of the stream `involution_verify` certifies: each at its first
-    member e, a later visit to an open image counted down as in `_certify`, so
-    only the images still due are held; on a certified stream, its pairs in order."""
-    cap, elements, is_fixed, apply, _, serialize, _ = _involution(family)
+    walk of the enumeration order, which holds the elements `involution_verify`
+    certifies in its own order: each at its first member e, a later visit to
+    an open image counted down as in `_certify`, so only the images still due
+    are held; on a certified family, its pairs in enumeration order."""
+    cap, elements, is_fixed, apply, _, serialize, _, _ = _involution(family)
     _check_cap(n, cap, f"involution_verify({family})")
     open_pairs = {}  # image -> occurrences still due
     for e in chain.from_iterable(map(elements, repeat(n), range(n + 1))):

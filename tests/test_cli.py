@@ -336,6 +336,12 @@ class TestTable:
         values = [json.loads(line)["value"] for line in out.strip().splitlines()]
         assert values == ["1", "2", "6", "22", "90", "394"]
 
+    def test_schroeder_is_the_narayana_polynomial_at_two(self, capsys):
+        # the table runs a three-term recurrence; narayana_poly is the other path
+        code, out, _ = run(capsys, "table", "--sequence", "schroeder", "--max-n", "60")
+        assert code == EXIT_OK
+        assert out.splitlines() == [f"{n},{sequences.narayana_poly(n)(2)}" for n in range(61)]
+
     def test_unknown_sequence_rejected(self, capsys):
         code, _, err = run(capsys, "table", "--sequence", "motzkin", "--max-n", "3")
         assert code == EXIT_USAGE

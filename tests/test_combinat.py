@@ -750,6 +750,35 @@ class TestFamilyStream:
             ], (family, n)
 
 
+class TestCertificationStreams:
+    """The certifiers read each family pair-locally, D and D-bar word by word
+    and P and Q shape by shape; `enumerate`, `--emit-pairs` and
+    `dbar_elements` keep k outermost.  Both orders hold the same elements."""
+
+    @pytest.mark.parametrize("family,top", [("D", 6), ("Dbar", 7), ("P", 7), ("Q", 6)])
+    def test_same_elements_as_the_enumeration(self, family, top):
+        for n in range(top + 1):
+            if family == "Dbar":
+                local, enumerated = cb._word_paths(n, cb._arch_splits_Dbar), cb.dbar_elements(n)
+            else:
+                row = cb._involution(family)
+                local = row[7](n)
+                enumerated = (e for k in range(n + 1) for e in row[1](n, k))
+            counts = Counter(local)
+            assert counts == Counter(enumerated), (family, n)
+            assert set(counts.values()) == {1}, (family, n)  # each element once
+
+    def test_dbar_cap_checked_before_any_element(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an element was built past the cap")
+
+        monkeypatch.delenv("NARAYANA_CAP", raising=False)
+        monkeypatch.setattr(cb, "_word_paths", refuse)
+        monkeypatch.setattr(cb, "_dyck_paths", refuse)
+        with pytest.raises(cb.EnumerationCapError):
+            cb.dbar_involution_check(cb.FAMILY_D_CAP + 1)
+
+
 class TestWords:
     """The pre-order words the certifier works on against the nested trees
     of the public functions: every element of P <= 6 and Q <= 5, every fixed
@@ -1209,10 +1238,10 @@ class TestCertificateMutants:
     def test_mutant_on_repeated_paths(self, monkeypatch):
         # D's flattened paths are all distinct at n <= 6, so the enumeration
         # here yields every moving element twice, as a non-injective flatten
-        # would; each pair then opens and closes twice.  Both D enumerators
-        # are doubled: the flat one feeds `involution_verify`, and the
-        # decorated one the reference certifier
-        real_iter, real_flat = cb.iter_family_D, cb._iter_flat_family_D
+        # would; each pair then opens and closes twice.  Every D stream is
+        # doubled: the word-by-word one feeds `involution_verify`, the flat
+        # one `serialized_pairs`, and the decorated one the reference certifier
+        real_iter, real_flat, real_words = cb.iter_family_D, cb._iter_flat_family_D, cb._word_paths
 
         def doubled(n, k):
             for e in real_iter(n, k):
@@ -1220,15 +1249,18 @@ class TestCertificateMutants:
                 if not cb._is_unweighted(cb.flatten(e)):
                     yield e
 
-        def doubled_flat(n, k):
-            for p in real_flat(n, k):
-                yield p
-                if not cb._is_unweighted(p):
+        def doubling(stream):
+            def doubled_stream(*args):
+                for p in stream(*args):
                     yield p
+                    if not cb._is_unweighted(p):
+                        yield p
+            return doubled_stream
 
         single = list(cb.serialized_pairs("D", 3))
         monkeypatch.setattr(cb, "iter_family_D", doubled)
-        monkeypatch.setattr(cb, "_iter_flat_family_D", doubled_flat)
+        monkeypatch.setattr(cb, "_iter_flat_family_D", doubling(real_flat))
+        monkeypatch.setattr(cb, "_word_paths", doubling(real_words))
         report = _report_against_reference("D", 3)
         assert report.failures == NO_FAILURES and report.size == 2 * 101 - 5
         assert report.total_weight == _streamed_weight("D", 3)
